@@ -6,7 +6,7 @@ BENCH_OUT ?= BENCH_gemm.json
 BENCH_N ?= 1024
 BENCH_WORKERS ?= 4
 
-.PHONY: build test vet race crash-test cluster-test factor-smoke fuzz verify bench bench-check bench-kernels bench-server bench-factor serve serve-bench clean
+.PHONY: build test vet race crash-test cluster-test factor-smoke fuzz bench-build verify bench bench-check bench-kernels bench-server bench-factor serve serve-bench clean
 
 build:
 	$(GO) build ./...
@@ -45,10 +45,12 @@ crash-test:
 cluster-test:
 	PDL_CLUSTER_SMOKE=1 PDL_SMOKE_ARTIFACTS=$(SMOKE_ARTIFACTS) $(GO) test -run TestClusterSmoke -v -timeout 300s ./internal/cluster/smoke
 
-# fuzz runs a time-boxed exploration of the journal record decoder on top of
-# the committed seed corpus (which plain `go test` already replays).
+# fuzz runs a time-boxed exploration of the journal record decoder and the
+# PDL unit parsers on top of the committed seed corpora (which plain
+# `go test` already replays).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/registry
+	$(GO) test -run='^$$' -fuzz=FuzzParseUnits -fuzztime=10s ./internal/core
 
 # factor-smoke is the Ext-K regression gate at smoke size: both tiled
 # factorizations on both pools, every run numerically verified against the
@@ -56,9 +58,16 @@ fuzz:
 factor-smoke:
 	$(GO) run ./cmd/pdlbench -exp factor -n 256 -tile 64 -reps 1
 
+# bench-build vets and tests the benchmark program. perfbench/ is its own
+# module (replace repro => ../), so `go build ./...` above never compiles
+# it; this catches internal API changes that would break the benchmark.
+bench-build:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # verify is the tier-1 gate: build, full tests, vet, race subset,
-# crash/recovery suite, multi-process cluster smoke, factorization smoke.
-verify: build test vet race crash-test cluster-test factor-smoke
+# crash/recovery suite, multi-process cluster smoke, factorization smoke,
+# benchmark program build.
+verify: build test vet race crash-test cluster-test factor-smoke bench-build
 
 # bench runs the Ext-I pipeline: the Go benchmark pass over the GEMM
 # kernels, then the measured harness that writes $(BENCH_OUT) including the

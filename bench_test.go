@@ -213,7 +213,7 @@ func BenchmarkGemmKernels(b *testing.B) {
 // "ws" is the tracing overhead — and "dmda" prices the model-driven
 // push-time placement.
 func BenchmarkGemmDispatch(b *testing.B) {
-	for _, sched := range []string{"eager", "ws", "ws+trace", "dmda"} {
+	for _, sched := range []string{"ws", "ws+trace", "dmda"} {
 		b.Run(sched, func(b *testing.B) {
 			var us, steals float64
 			for i := 0; i < b.N; i++ {

@@ -44,7 +44,7 @@ func run(args []string, stdout io.Writer) error {
 		exp      = fs.String("exp", "fig5", "experiment: fig5, sched, tiles, bw, crossover, failover, stencil, realcpu, faults, gemm, cholesky, lu, factor, serve, cluster or all")
 		n        = fs.Int("n", 8192, "matrix extent")
 		tile     = fs.Int("tile", 1024, "tile extent")
-		sched    = fs.String("sched", "dmda", "scheduler for fig5/tiles and the gemm -trace real-engine run (eager, ws or dmda)")
+		sched    = fs.String("sched", "dmda", "scheduler for fig5/tiles (sim: eager, ws, dmda, heft or random) and the gemm -trace real-engine run (ws or dmda)")
 		realN    = fs.Int("realn", 768, "matrix extent for the real-mode experiment")
 		seed     = fs.Int64("seed", 1, "fault-plan seed for the faults experiment")
 		gemmN    = fs.Int("gemmn", 1024, "matrix extent for the gemm kernel bench")

@@ -68,7 +68,7 @@ func TestGemmBenchJSON(t *testing.T) {
 	if err := run([]string{"-exp", "gemm", "-gemmn", "128", "-workers", "2", "-out", path}, &out); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"Ext-I", "kernel/packed", "dispatch/eager", "dispatch/ws"} {
+	for _, want := range []string{"Ext-I", "kernel/packed", "dispatch/ws", "dispatch/dmda"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("missing %q:\n%s", want, out.String())
 		}
@@ -91,7 +91,7 @@ func TestGemmBenchJSON(t *testing.T) {
 			t.Errorf("dispatch point %+v has non-positive measurements", d)
 		}
 	}
-	if !scheds["eager"] || !scheds["ws"] {
+	if !scheds["ws"] || !scheds["dmda"] {
 		t.Errorf("dispatch A/B incomplete, got %v", scheds)
 	}
 	for _, k := range bench.Kernels {

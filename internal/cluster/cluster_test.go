@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -1099,5 +1100,95 @@ func TestStragglerDetection(t *testing.T) {
 		if e.From == "" {
 			t.Fatal("straggler instant carries no reason")
 		}
+	}
+}
+
+// --- placement, link pricing, retry backoff ---
+
+// Cold nodes bid the pool-wide observed mean, and the scan start rotates
+// across decisions so equal bids spread instead of piling onto node 0.
+func TestChooseColdNodesSpreadAndBidPoolMean(t *testing.T) {
+	m, err := NewMaster(Config{Nodes: []NodeConfig{{Name: "a", Addr: "http://a"}, {Name: "b", Addr: "http://b"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &runState{m: m}
+	for _, nc := range m.cfg.Nodes {
+		st.nodes = append(st.nodes, &nodeState{cfg: nc, alive: true, credits: 4, has: map[int]uint64{}})
+	}
+	task := &taskrt.Task{Codelet: gemmTestCodelet(t, 0)}
+
+	// No history anywhere: equal zero bids, so consecutive decisions
+	// alternate nodes rather than both landing on the first.
+	p1, ok1 := st.choose(task)
+	p2, ok2 := st.choose(task)
+	if !ok1 || !ok2 || p1.node == p2.node {
+		t.Fatalf("cold placements %v, %v landed on the same node", p1.node.cfg.Name, p2.node.cfg.Name)
+	}
+	if p1.reason != taskrt.PlaceCold || p1.est != 0 {
+		t.Fatalf("cold pool placement = %q %g ns, want cold 0", p1.reason, p1.est)
+	}
+
+	// Node a has history (5 ms mean) and a 10 ms backlog; cold node b bids
+	// the pool mean, 5 ms — not an absolute constant.
+	a, b := st.nodes[0], st.nodes[1]
+	a.obsCount, a.obsMean, a.backlog = 1, 5e6, 10e6
+	for i := 0; i < 2; i++ {
+		p, ok := st.choose(task)
+		if !ok || p.node != b || p.reason != taskrt.PlaceCold || p.est != 5e6 {
+			t.Fatalf("placement %d = %s %q %g ns, want b cold 5e6", i, p.node.cfg.Name, p.reason, p.est)
+		}
+	}
+}
+
+// A node with a declared route prices it link by link (missing properties
+// at core's default pair); only a node without a declared route is a LAN
+// hop.
+func TestMasterRouteCost(t *testing.T) {
+	pl, err := core.NewBuilder("lan").
+		Master("head", core.Arch("x86")).
+		Master("n1", core.Arch("x86")).
+		Master("n2", core.Arch("x86")).
+		Master("n3", core.Arch("x86")).
+		Link(core.ICTypeRDMA, "head", "n1", core.Bandwidth(2), core.Latency(50)).
+		Link(core.ICTypeRDMA, "head", "n2").
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMaster(Config{Nodes: []NodeConfig{{Name: "a", Addr: "http://a"}}, Platform: pl, MasterPU: "head"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		pu                     string
+		latNanos, nanosPerByte float64
+	}{
+		{"n1", 50e3, 1e9 / (2 << 30)},
+		{"n2", 10e3, 1e9 / (5 << 30)},
+		{"n3", 200e3, 1e9 / (1 << 30)},
+		{"", 200e3, 1e9 / (1 << 30)},
+	} {
+		lat, perByte := m.routeCost(c.pu)
+		if math.Abs(lat-c.latNanos) > 1e-6 || math.Abs(perByte-c.nanosPerByte) > 1e-12 {
+			t.Errorf("routeCost(%q) = %g ns + %g ns/B, want %g + %g", c.pu, lat, perByte, c.latNanos, c.nanosPerByte)
+		}
+	}
+}
+
+// The first retry waits BackoffBase, later ones double, capped.
+func TestMasterRetryDelay(t *testing.T) {
+	m, err := NewMaster(Config{Nodes: []NodeConfig{{Name: "a", Addr: "http://a"}},
+		BackoffBase: 10 * time.Millisecond, BackoffCap: 35 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for attempts, want := range []time.Duration{10, 10, 20, 35, 35} {
+		if got := m.retryDelay(attempts); got != want*time.Millisecond {
+			t.Errorf("retryDelay(%d) = %v, want %v", attempts, got, want*time.Millisecond)
+		}
+	}
+	if got := m.retryDelay(1 << 20); got != 35*time.Millisecond {
+		t.Errorf("retryDelay(huge) = %v, want the cap", got)
 	}
 }

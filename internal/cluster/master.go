@@ -56,8 +56,9 @@ type Config struct {
 	HeartbeatEvery   time.Duration // default 250ms
 	HeartbeatTimeout time.Duration // default = HeartbeatEvery
 	HeartbeatMisses  int           // default 3
-	// Retry backoff for failed attempts: BackoffBase doubled per attempt,
-	// capped at BackoffCap. Defaults 25ms / 1s.
+	// Retry backoff (taskrt.Backoff): the first retry waits BackoffBase,
+	// each further failed attempt doubles it, capped at BackoffCap.
+	// Defaults 25ms / 1s.
 	BackoffBase time.Duration
 	BackoffCap  time.Duration
 	// AllDeadTimeout aborts the run after every node has been dead this
@@ -209,11 +210,12 @@ func NewMaster(cfg Config) (*Master, error) {
 	return m, nil
 }
 
-// Default transfer characteristics for a node without a declared route:
-// a LAN hop (~1 GB/s, 200µs).
+// Transfer characteristics of a node without a declared route: a LAN hop
+// (~1 GB/s, 200µs). Declared links missing a property take
+// core.Interconnect.Cost's defaults instead.
 const (
-	defaultNodeBandwidth = 1 << 30
-	defaultNodeLatencyNS = 200e3
+	lanBandwidth = 1 << 30
+	lanLatencyNS = 200e3
 )
 
 // nodeState is the master's view of one node during a run. All fields are
@@ -299,6 +301,7 @@ type runState struct {
 	done     map[int]bool
 	inflight map[int]*inflightRec
 	ready    []*taskrt.Task
+	rr       int // placement scan start, rotated per decision
 
 	events chan event
 	stop   chan struct{}
@@ -515,31 +518,16 @@ func (st *runState) publishMerged() *trace.Trace {
 	return merged
 }
 
-// routeCost prices the master→node path from the platform's declared
-// interconnects, or the LAN defaults when unroutable.
+// routeCost prices the master→node path over the platform's declared
+// interconnects (core.Platform.RouteCost), or as a LAN hop when the node
+// has no declared route from MasterPU.
 func (m *Master) routeCost(pu string) (latNanos, nanosPerByte float64) {
-	latNanos, nanosPerByte = defaultNodeLatencyNS, 1e9/float64(defaultNodeBandwidth)
-	if m.cfg.Platform == nil || m.cfg.MasterPU == "" || pu == "" {
-		return
-	}
-	route, err := m.cfg.Platform.Route(m.cfg.MasterPU, pu)
-	if err != nil || len(route) == 0 {
-		return
-	}
-	lat, perByte := 0.0, 0.0
-	for _, ic := range route {
-		l, ok := ic.LatencySeconds()
-		if !ok {
-			l = defaultNodeLatencyNS / 1e9
+	if pl := m.cfg.Platform; pl != nil && m.cfg.MasterPU != "" && pu != "" && pu != m.cfg.MasterPU {
+		if lat, perByte, err := pl.RouteCost(m.cfg.MasterPU, pu); err == nil {
+			return lat * 1e9, perByte * 1e9
 		}
-		bw, ok := ic.BandwidthBytesPerSec()
-		if !ok || bw <= 0 {
-			bw = defaultNodeBandwidth
-		}
-		lat += l * 1e9
-		perByte += 1e9 / bw
 	}
-	return lat, perByte
+	return lanLatencyNS, 1e9 / lanBandwidth
 }
 
 func (st *runState) aliveCount() int {
@@ -650,16 +638,17 @@ func (st *runState) nodeDown(n *nodeState) {
 	n.credits, n.backlog = 0, 0
 }
 
-// requeueWithBackoff schedules the task back into ready after a capped
-// exponential delay derived from its attempt count.
+// requeueWithBackoff schedules the task back into ready after the retry
+// delay for its in-band attempt count.
 func (st *runState) requeueWithBackoff(t *taskrt.Task) {
-	cfg := st.m.cfg
-	d := cfg.BackoffBase << uint(st.attempts[t.ID()])
-	if d > cfg.BackoffCap || d <= 0 {
-		d = cfg.BackoffCap
-	}
 	task := t
-	time.AfterFunc(d, func() { st.send(event{kind: evRequeue, task: task}) })
+	time.AfterFunc(st.m.retryDelay(st.attempts[t.ID()]), func() { st.send(event{kind: evRequeue, task: task}) })
+}
+
+// retryDelay is taskrt.Backoff over BackoffBase/BackoffCap: the first retry
+// (and any requeue before an attempt failed) waits BackoffBase.
+func (m *Master) retryDelay(attempts int) time.Duration {
+	return time.Duration(taskrt.Backoff(float64(m.cfg.BackoffBase), float64(m.cfg.BackoffCap), attempts))
 }
 
 // nodeRuns reports whether the node advertises the codelet as runnable.
@@ -675,23 +664,36 @@ func (n *nodeState) nodeRuns(codelet string) bool {
 	return false
 }
 
-// estimate returns the predicted execution nanoseconds for the task on the
-// node and the decision source (model/fallback/cold).
-func (st *runState) estimate(t *taskrt.Task, n *nodeState) (float64, string) {
-	if t.Flops > 0 {
-		for _, arch := range n.info.Archs {
-			if t.Codelet.ImplFor(arch) == nil {
-				continue
-			}
-			if sec, ok := st.m.cfg.Models.Model(t.Codelet.Name, arch).Estimate(t.Flops); ok {
-				return sec * 1e9, "model"
-			}
+// modelEstimate returns the perfmodel's prediction, in nanoseconds, for the
+// task on the first of the node's archs that implements the codelet and
+// has history.
+func (st *runState) modelEstimate(t *taskrt.Task, n *nodeState) (float64, bool) {
+	if t.Flops <= 0 {
+		return 0, false
+	}
+	for _, arch := range n.info.Archs {
+		if t.Codelet.ImplFor(arch) == nil {
+			continue
+		}
+		if sec, ok := st.m.cfg.Models.Model(t.Codelet.Name, arch).Estimate(t.Flops); ok {
+			return sec * 1e9, true
 		}
 	}
-	if n.obsCount > 0 {
-		return n.obsMean, "fallback"
+	return 0, false
+}
+
+// poolMean is the mean observed round-trip over every node (0 before any
+// completion): the estimate a node without history bids.
+func (st *runState) poolMean() float64 {
+	sum, count := 0.0, 0
+	for _, n := range st.nodes {
+		sum += n.obsMean * float64(n.obsCount)
+		count += n.obsCount
 	}
-	return 1e6, "cold" // 1ms: nonzero so backlog still differentiates nodes
+	if count == 0 {
+		return 0
+	}
+	return sum / float64(count)
 }
 
 // hasVersion reports whether the node is believed to cache the handle at
@@ -728,32 +730,32 @@ type placement struct {
 	modelEst float64 // unscaled model estimate, 0 unless reason == "model"
 }
 
-// choose picks the node with the earliest modelled finish time among alive
-// nodes with free credit that can run the codelet. Each node's execution
-// estimate is scaled by its slowdown penalty (EWMA of observed/estimated
-// latency, floored at 1), so detected stragglers bid with their real speed
-// rather than the model's optimism.
+// choose places the task through taskrt.ChooseEFT among alive nodes with
+// free credit that can run the codelet, rotating the scan start across
+// decisions. Each node's execution estimate is scaled by its slowdown
+// penalty (EWMA of observed/estimated latency, floored at 1), so detected
+// stragglers bid with their real speed rather than the model's optimism.
 func (st *runState) choose(t *taskrt.Task) (placement, bool) {
-	var best placement
-	bestScore := 0.0
-	for _, n := range st.nodes {
+	start := st.rr % len(st.nodes)
+	st.rr++
+	c, ok := taskrt.ChooseEFT(len(st.nodes), start, t.Priority, st.poolMean(), func(i int) (taskrt.Bid, bool) {
+		n := st.nodes[i]
 		if !n.alive || n.credits <= 0 || !n.nodeRuns(t.Codelet.Name) {
-			continue
+			return taskrt.Bid{}, false
 		}
-		est, reason := st.estimate(t, n)
-		modelEst := 0.0
-		if reason == "model" {
-			modelEst = est
-		}
-		est *= n.penalty()
-		xfer := st.transferNanos(t, n)
-		score := n.backlog + est + xfer
-		if best.node == nil || score < bestScore {
-			best = placement{node: n, est: est, xfer: xfer, reason: reason, modelEst: modelEst}
-			bestScore = score
-		}
+		b := taskrt.Bid{Backlog: n.backlog, Transfer: st.transferNanos(t, n), Penalty: n.penalty()}
+		b.Model, b.ModelOK = st.modelEstimate(t, n)
+		b.Mean, b.Samples = n.obsMean, int64(n.obsCount)
+		return b, true
+	})
+	if !ok {
+		return placement{}, false
 	}
-	return best, best.node != nil
+	p := placement{node: st.nodes[c.Index], est: c.Exec, xfer: c.Transfer, reason: c.Source}
+	if c.Source == taskrt.PlaceModel {
+		p.modelEst = c.Estimate
+	}
+	return p, true
 }
 
 // dispatchReady places as many ready tasks as node credits allow.

@@ -200,14 +200,14 @@ type LinkOption func(*Interconnect)
 // Bandwidth sets the BANDWIDTH descriptor property in GB/s.
 func Bandwidth(gbps float64) LinkOption {
 	return func(ic *Interconnect) {
-		ic.Descriptor.Set(Property{Name: "BANDWIDTH", Value: fmt.Sprint(gbps), Unit: "GB/s", Fixed: true})
+		ic.Descriptor.Set(Property{Name: PropBandwidth, Value: fmt.Sprint(gbps), Unit: "GB/s", Fixed: true})
 	}
 }
 
 // Latency sets the LATENCY descriptor property in microseconds.
 func Latency(us float64) LinkOption {
 	return func(ic *Interconnect) {
-		ic.Descriptor.Set(Property{Name: "LATENCY", Value: fmt.Sprint(us), Unit: "us", Fixed: true})
+		ic.Descriptor.Set(Property{Name: PropLatency, Value: fmt.Sprint(us), Unit: "us", Fixed: true})
 	}
 }
 

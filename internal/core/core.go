@@ -83,6 +83,8 @@ const (
 	PropWorkItemDims = "MAX_WORK_ITEM_DIMENSIONS"
 	PropGFlopsDP     = "PEAK_GFLOPS_DP" // calibration hook for simhw
 	PropRuntime      = "RUNTIME"        // e.g. "OpenCL", "Cuda", "CellSDK"
+	PropBandwidth    = "BANDWIDTH"      // interconnect rate, unit GB/s
+	PropLatency      = "LATENCY"        // interconnect latency, unit us
 )
 
 // Well-known interconnect types used in descriptors and the simulator.

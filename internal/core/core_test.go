@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestClassString(t *testing.T) {
 	if Master.String() != "Master" || Hybrid.String() != "Hybrid" || Worker.String() != "Worker" {
@@ -69,37 +72,34 @@ func TestInterconnectConnectsDirectionality(t *testing.T) {
 }
 
 func TestBandwidthLatencyUnits(t *testing.T) {
-	mk := func(name, value, unit string) *Interconnect {
+	mk := func(props ...Property) *Interconnect {
 		var ic Interconnect
-		ic.Descriptor.Set(Property{Name: name, Value: value, Unit: unit, Fixed: true})
+		for _, p := range props {
+			ic.Descriptor.Set(p)
+		}
 		return &ic
 	}
-	if bw, ok := mk("BANDWIDTH", "2", "MB/s").BandwidthBytesPerSec(); !ok || bw != 2<<20 {
-		t.Fatalf("MB/s = %g %v", bw, ok)
+	bw := func(value, unit string) Property { return Property{Name: PropBandwidth, Value: value, Unit: unit} }
+	lat := func(value, unit string) Property { return Property{Name: PropLatency, Value: value, Unit: unit} }
+	cases := []struct {
+		name         string
+		ic           *Interconnect
+		lat, perByte float64
+	}{
+		{"MB/s", mk(bw("2", "MB/s"), lat("5", "ms")), 5e-3, 1.0 / (2 << 20)},
+		{"kB/s", mk(bw("1024", "kB/s"), lat("2", "")), 2, 1.0 / (1 << 20)},
+		{"B/s", mk(bw("5", ""), lat("7", "ns")), 7e-9, 1.0 / 5},
+		// Missing or invalid properties take the default pair.
+		{"no properties", mk(), 10e-6, 1.0 / (5 << 30)},
+		{"bad unit", mk(bw("5", "furlongs"), lat("1", "fortnights")), 10e-6, 1.0 / (5 << 30)},
+		{"bad value", mk(bw("x", "GB/s"), lat("-1", "ms")), 10e-6, 1.0 / (5 << 30)},
+		{"zero bandwidth", mk(bw("0", "GB/s")), 10e-6, 1.0 / (5 << 30)},
 	}
-	if bw, ok := mk("BANDWIDTH", "1024", "kB/s").BandwidthBytesPerSec(); !ok || bw != 1<<20 {
-		t.Fatalf("kB/s = %g %v", bw, ok)
-	}
-	if bw, ok := mk("BANDWIDTH", "5", "").BandwidthBytesPerSec(); !ok || bw != 5 {
-		t.Fatalf("B/s = %g %v", bw, ok)
-	}
-	if _, ok := mk("BANDWIDTH", "5", "furlongs").BandwidthBytesPerSec(); ok {
-		t.Fatal("bad unit accepted")
-	}
-	if _, ok := mk("BANDWIDTH", "x", "GB/s").BandwidthBytesPerSec(); ok {
-		t.Fatal("bad value accepted")
-	}
-	if _, ok := (&Interconnect{}).LatencySeconds(); ok {
-		t.Fatal("missing latency should report !ok")
-	}
-	if lat, ok := mk("LATENCY", "5", "ms").LatencySeconds(); !ok || lat != 5e-3 {
-		t.Fatalf("ms = %g %v", lat, ok)
-	}
-	if lat, ok := mk("LATENCY", "7", "ns").LatencySeconds(); !ok || lat < 6.99e-9 || lat > 7.01e-9 {
-		t.Fatalf("ns = %g %v", lat, ok)
-	}
-	if lat, ok := mk("LATENCY", "2", "").LatencySeconds(); !ok || lat != 2 {
-		t.Fatalf("s = %g %v", lat, ok)
+	for _, c := range cases {
+		l, b := c.ic.Cost()
+		if math.Abs(l-c.lat) > 1e-12*c.lat || b != c.perByte {
+			t.Errorf("%s: Cost() = %g, %g; want %g, %g", c.name, l, b, c.lat, c.perByte)
+		}
 	}
 }
 
@@ -118,6 +118,8 @@ func TestMemoryRegionSizeUnits(t *testing.T) {
 		{"10", "B", 10, true},
 		{"10", "MB", 10 << 20, true},
 		{"10", "GB", 10 << 30, true},
+		{"4", "KiB", 4 << 10, true},
+		{"4", "TB", 4 << 40, true},
 		{"-1", "kB", 0, false},
 		{"10", "bits", 0, false},
 	}

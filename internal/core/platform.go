@@ -194,6 +194,20 @@ func (pl *Platform) Route(from, to string) ([]Interconnect, error) {
 	return nil, fmt.Errorf("core: no interconnect route from %q to %q", from, to)
 }
 
+// RouteCost prices moving data from PU `from` to PU `to`: the Cost of every
+// interconnect on Route, summed, so n bytes take latSec + n·secPerByte. It
+// is the one link pricer the engines share; the error is Route's, and a
+// route from a PU to itself is free.
+func (pl *Platform) RouteCost(from, to string) (latSec, secPerByte float64, err error) {
+	route, err := pl.Route(from, to)
+	for i := range route {
+		l, b := route[i].Cost()
+		latSec += l
+		secPerByte += b
+	}
+	return latSec, secPerByte, err
+}
+
 // TotalUnits returns the number of physical units the platform stands for,
 // i.e. the sum of effective quantities over all PUs.
 func (pl *Platform) TotalUnits() int {

@@ -124,13 +124,9 @@ func TestLinkBetweenAndUnits(t *testing.T) {
 	if n := pl.TotalUnits(); n != 10 {
 		t.Fatalf("TotalUnits = %d; want 10 (8 cores + 2 gpus)", n)
 	}
-	bw, ok := ic.BandwidthBytesPerSec()
-	if !ok || bw != 5.0*(1<<30) {
-		t.Fatalf("bandwidth = %g, %v", bw, ok)
-	}
-	lat, ok := ic.LatencySeconds()
-	if !ok || lat < 9.99e-6 || lat > 10.01e-6 {
-		t.Fatalf("latency = %g, %v", lat, ok)
+	lat, perByte := ic.Cost()
+	if perByte != 1/(5.0*(1<<30)) || lat < 9.99e-6 || lat > 10.01e-6 {
+		t.Fatalf("Cost() = %g s, %g s/B", lat, perByte)
 	}
 }
 
@@ -153,6 +149,13 @@ func TestRoute(t *testing.T) {
 	if len(path) != 2 || path[0].Type != ICTypePCIe || path[1].Type != ICTypeQPI {
 		t.Fatalf("Route = %v", path)
 	}
+	// Links without properties each price at the default pair.
+	if lat, perByte, err := pl.RouteCost("gpu0", "cpu2"); err != nil || lat != 2*10e-6 || perByte != 2.0/(5<<30) {
+		t.Fatalf("RouteCost = %g, %g, %v", lat, perByte, err)
+	}
+	if lat, perByte, err := pl.RouteCost("cpu", "cpu"); err != nil || lat != 0 || perByte != 0 {
+		t.Fatalf("self RouteCost = %g, %g, %v", lat, perByte, err)
+	}
 	if p, err := pl.Route("cpu", "cpu"); err != nil || p != nil {
 		t.Fatalf("self route = %v, %v; want nil, nil", p, err)
 	}
@@ -171,6 +174,9 @@ func TestRouteNoPath(t *testing.T) {
 	}
 	if _, err := pl.Route("a", "b"); err == nil {
 		t.Fatal("route between unconnected PUs must fail")
+	}
+	if _, _, err := pl.RouteCost("a", "b"); err == nil {
+		t.Fatal("RouteCost between unconnected PUs must fail")
 	}
 }
 

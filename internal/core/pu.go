@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // MemoryRegion describes a directly addressable memory space attached to a
 // processing unit. Qualitative properties (size, affinity, relative speed)
@@ -21,24 +18,8 @@ func (m *MemoryRegion) SizeBytes() (uint64, bool) {
 	if !ok {
 		return 0, false
 	}
-	n, err := p.Int()
-	if err != nil || n < 0 {
-		return 0, false
-	}
-	mult := uint64(1)
-	switch strings.ToLower(p.Unit) {
-	case "", "b":
-		mult = 1
-	case "kb":
-		mult = 1 << 10
-	case "mb":
-		mult = 1 << 20
-	case "gb":
-		mult = 1 << 30
-	default:
-		return 0, false
-	}
-	return uint64(n) * mult, true
+	n, err := ParseSize(p.Value, p.Unit)
+	return n, err == nil
 }
 
 // Interconnect describes a communication facility between two processing
@@ -55,52 +36,29 @@ type Interconnect struct {
 	Descriptor Descriptor // the PDL ICDescriptor
 }
 
-// BandwidthBytesPerSec returns the BANDWIDTH property converted to bytes per
-// second (property unit GB/s, MB/s or B/s; unitless means B/s).
-func (ic *Interconnect) BandwidthBytesPerSec() (float64, bool) {
-	p, ok := ic.Descriptor.Get("BANDWIDTH")
-	if !ok {
-		return 0, false
-	}
-	v, err := p.Float()
-	if err != nil {
-		return 0, false
-	}
-	switch strings.ToLower(p.Unit) {
-	case "", "b/s":
-		return v, true
-	case "kb/s":
-		return v * (1 << 10), true
-	case "mb/s":
-		return v * (1 << 20), true
-	case "gb/s":
-		return v * (1 << 30), true
-	}
-	return 0, false
-}
+// Link characteristics assumed for an interconnect that omits LATENCY or
+// BANDWIDTH (or declares an invalid value): a PCIe-2.0-class link.
+const (
+	icDefaultLatency   = 10e-6   // seconds
+	icDefaultBandwidth = 5 << 30 // bytes/s
+)
 
-// LatencySeconds returns the LATENCY property converted to seconds (property
-// unit us, ms or s; unitless means seconds).
-func (ic *Interconnect) LatencySeconds() (float64, bool) {
-	p, ok := ic.Descriptor.Get("LATENCY")
-	if !ok {
-		return 0, false
+// Cost returns the link's latency in seconds and its inverse bandwidth in
+// seconds per byte, so moving n bytes costs latSec + n·secPerByte. Missing
+// or invalid properties take the 10 µs / 5 GiB/s default pair.
+func (ic *Interconnect) Cost() (latSec, secPerByte float64) {
+	latSec, secPerByte = icDefaultLatency, 1.0/icDefaultBandwidth
+	if p, ok := ic.Descriptor.Get(PropLatency); ok {
+		if v, err := ParseDuration(p.Value, p.Unit); err == nil {
+			latSec = v
+		}
 	}
-	v, err := p.Float()
-	if err != nil {
-		return 0, false
+	if p, ok := ic.Descriptor.Get(PropBandwidth); ok {
+		if v, err := ParseBandwidth(p.Value, p.Unit); err == nil {
+			secPerByte = 1 / v
+		}
 	}
-	switch strings.ToLower(p.Unit) {
-	case "", "s":
-		return v, true
-	case "ms":
-		return v * 1e-3, true
-	case "us", "µs":
-		return v * 1e-6, true
-	case "ns":
-		return v * 1e-9, true
-	}
-	return 0, false
+	return latSec, secPerByte
 }
 
 // Connects reports whether the interconnect joins PUs a and b (in either

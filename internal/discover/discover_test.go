@@ -48,8 +48,12 @@ func TestGenerateBasic(t *testing.T) {
 	if !ok {
 		t.Fatal("missing host-dev1 link")
 	}
-	if _, ok := ic.BandwidthBytesPerSec(); !ok {
+	p, ok := ic.Descriptor.Get(core.PropBandwidth)
+	if !ok {
 		t.Fatal("link missing bandwidth")
+	}
+	if _, err := core.ParseBandwidth(p.Value, p.Unit); err != nil {
+		t.Fatalf("link bandwidth: %v", err)
 	}
 }
 

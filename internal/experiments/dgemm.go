@@ -143,7 +143,7 @@ func RealDGEMM(pl *core.Platform, n, tile, workers int, verify bool) (*taskrt.Re
 }
 
 // RealDGEMMSched is RealDGEMM under an explicit real-engine scheduler
-// ("eager", "ws" or "dmda"; empty selects the default).
+// ("ws" or "dmda"; empty selects the default).
 func RealDGEMMSched(pl *core.Platform, n, tile, workers int, verify bool, sched string) (*taskrt.Report, error) {
 	return realDGEMM(pl, n, tile, workers, verify, sched, nil)
 }

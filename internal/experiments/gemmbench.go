@@ -25,7 +25,7 @@ import (
 //     micro-kernel's win over the scalar blocked baseline is a number, not a
 //     claim; and
 //   - dispatch overhead: wall time per task for a graph of trivial tasks
-//     under the "eager" single-queue dispatcher versus the "ws" work-stealing
+//     under the "ws" work-stealing dispatcher versus the model-driven "dmda"
 //     dispatcher, with steal counts — isolating scheduler cost from kernel
 //     cost (the tasks do no work).
 //
@@ -177,7 +177,7 @@ func DispatchBench(tasks, workers, reps int, scheds ...string) ([]DispatchPoint,
 		reps = 3
 	}
 	if len(scheds) == 0 {
-		scheds = []string{"eager", "ws"}
+		scheds = []string{"ws", "dmda"}
 	}
 	noop, err := taskrt.NewCodelet("noop", taskrt.Impl{
 		Arch: "x86",
@@ -429,20 +429,11 @@ func TransferHeteroBench(chains, length, slowWorkers, reps int, scheds ...string
 	// Wall-clock transfer cost mirrors the engine's interconnect model over
 	// the same declared route, so the modelled charge and the paid price
 	// agree by construction.
-	route, err := pl.Route("fast", "slow")
+	lat, perByte, err := pl.RouteCost("fast", "slow")
 	if err != nil {
 		return nil, fmt.Errorf("experiments: transfer hetero: %w", err)
 	}
-	var xferSec float64
-	for i := range route {
-		lat, _ := route[i].LatencySeconds()
-		bw, ok := route[i].BandwidthBytesPerSec()
-		if !ok || bw <= 0 {
-			return nil, fmt.Errorf("experiments: transfer hetero: link without bandwidth")
-		}
-		xferSec += lat + float64(bytesPerHandle)/bw
-	}
-	xfer := time.Duration(xferSec * float64(time.Second))
+	xfer := time.Duration((lat + float64(bytesPerHandle)*perByte) * float64(time.Second))
 
 	var out []HeteroTransferPoint
 	for _, sched := range scheds {
@@ -552,7 +543,7 @@ func GemmBench(n, workers int, matrix bool) (*GemmBenchData, error) {
 	// repeat a scheduler with batched submission; "dmda" rows keep the
 	// model-driven dispatcher as standing overhead rows.
 	dispatch, err := DispatchBench(2000, dw, 3,
-		"eager", "ws", "ws+batch", "ws+trace", "dmda", "dmda+batch")
+		"ws", "ws+batch", "ws+trace", "dmda", "dmda+batch")
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,7 @@
 // Package schema provides the typed layer above raw PDL properties: a
-// registry of property specifications grouped into versioned subschemas, unit
-// parsing for quantitative values, and a validator that checks a platform's
-// descriptors against the registered schemas.
+// registry of property specifications grouped into versioned subschemas and a
+// validator that checks a platform's descriptors against the registered
+// schemas. Quantitative values are checked with core's unit parsers.
 //
 // It plays the role the XML Schema Definition (XSD) plays in the paper:
 // predefined Descriptor/Property subschemas have unique identification and
@@ -13,7 +13,6 @@ package schema
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"repro/internal/core"
 )
@@ -102,19 +101,19 @@ func (s Spec) check(p core.Property) error {
 			return fail("value %q is not a bool", p.Value)
 		}
 	case KindSize:
-		if _, err := ParseSize(p.Value, p.Unit); err != nil {
+		if _, err := core.ParseSize(p.Value, p.Unit); err != nil {
 			return fail("%v", err)
 		}
 	case KindFrequency:
-		if _, err := ParseFrequency(p.Value, p.Unit); err != nil {
+		if _, err := core.ParseFrequency(p.Value, p.Unit); err != nil {
 			return fail("%v", err)
 		}
 	case KindBandwidth:
-		if _, err := ParseBandwidth(p.Value, p.Unit); err != nil {
+		if _, err := core.ParseBandwidth(p.Value, p.Unit); err != nil {
 			return fail("%v", err)
 		}
 	case KindDuration:
-		if _, err := ParseDuration(p.Value, p.Unit); err != nil {
+		if _, err := core.ParseDuration(p.Value, p.Unit); err != nil {
 			return fail("%v", err)
 		}
 	case KindEnum:
@@ -126,83 +125,4 @@ func (s Spec) check(p core.Property) error {
 		return fail("value %q not in enum %v", p.Value, s.Enum)
 	}
 	return nil
-}
-
-// ParseSize converts a value/unit pair into bytes. An empty unit means bytes.
-func ParseSize(value, unit string) (uint64, error) {
-	n, err := strconv.ParseUint(strings.TrimSpace(value), 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("schema: bad size value %q", value)
-	}
-	switch strings.ToLower(unit) {
-	case "", "b":
-		return n, nil
-	case "kb", "kib":
-		return n << 10, nil
-	case "mb", "mib":
-		return n << 20, nil
-	case "gb", "gib":
-		return n << 30, nil
-	case "tb", "tib":
-		return n << 40, nil
-	}
-	return 0, fmt.Errorf("schema: unknown size unit %q", unit)
-}
-
-// ParseFrequency converts a value/unit pair into Hz. An empty unit means Hz.
-func ParseFrequency(value, unit string) (float64, error) {
-	f, err := strconv.ParseFloat(strings.TrimSpace(value), 64)
-	if err != nil {
-		return 0, fmt.Errorf("schema: bad frequency value %q", value)
-	}
-	switch strings.ToLower(unit) {
-	case "", "hz":
-		return f, nil
-	case "khz":
-		return f * 1e3, nil
-	case "mhz":
-		return f * 1e6, nil
-	case "ghz":
-		return f * 1e9, nil
-	}
-	return 0, fmt.Errorf("schema: unknown frequency unit %q", unit)
-}
-
-// ParseBandwidth converts a value/unit pair into bytes per second.
-func ParseBandwidth(value, unit string) (float64, error) {
-	f, err := strconv.ParseFloat(strings.TrimSpace(value), 64)
-	if err != nil {
-		return 0, fmt.Errorf("schema: bad bandwidth value %q", value)
-	}
-	switch strings.ToLower(unit) {
-	case "", "b/s":
-		return f, nil
-	case "kb/s":
-		return f * (1 << 10), nil
-	case "mb/s":
-		return f * (1 << 20), nil
-	case "gb/s":
-		return f * (1 << 30), nil
-	}
-	return 0, fmt.Errorf("schema: unknown bandwidth unit %q", unit)
-}
-
-// ParseDuration converts a value/unit pair into seconds. An empty unit means
-// seconds.
-func ParseDuration(value, unit string) (float64, error) {
-	f, err := strconv.ParseFloat(strings.TrimSpace(value), 64)
-	if err != nil {
-		return 0, fmt.Errorf("schema: bad duration value %q", value)
-	}
-	switch strings.ToLower(unit) {
-	case "", "s":
-		return f, nil
-	case "ms":
-		return f * 1e-3, nil
-	case "us", "µs":
-		return f * 1e-6, nil
-	case "ns":
-		return f * 1e-9, nil
-	}
-	return 0, fmt.Errorf("schema: unknown duration unit %q", unit)
 }

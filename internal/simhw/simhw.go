@@ -32,11 +32,12 @@ type Unit struct {
 // core, "gpu" kernels only on gpu units, and so on).
 func (u *Unit) CanRun(arch string) bool { return u.Arch == arch }
 
-// Link is a directed bandwidth/latency edge between two memory nodes.
+// Link is a directed latency/inverse-bandwidth edge between two memory
+// nodes, priced as core.Interconnect.Cost prices the declared link.
 type Link struct {
-	From, To  int     // memory node ids
-	Bandwidth float64 // bytes per second
-	Latency   float64 // seconds
+	From, To   int     // memory node ids
+	Latency    float64 // seconds
+	SecPerByte float64 // inverse bandwidth
 }
 
 // TransferTime returns the virtual seconds needed to move n bytes.
@@ -44,7 +45,7 @@ func (l *Link) TransferTime(bytes int64) float64 {
 	if bytes <= 0 {
 		return 0
 	}
-	return l.Latency + float64(bytes)/l.Bandwidth
+	return l.Latency + float64(bytes)*l.SecPerByte
 }
 
 // Machine is the simulated hardware: units, memory nodes and links.
@@ -56,14 +57,12 @@ type Machine struct {
 	numNodes int
 }
 
-// Defaults applied when a PDL document omits calibration or link properties:
-// a conservative CPU-core rate and a PCIe-2.0-class link.
+// Defaults applied when a PDL document omits calibration properties: a
+// conservative CPU-core rate. Link defaults are core.Interconnect.Cost's.
 const (
 	DefaultGFlopsDP   = 8.0
 	DefaultEfficiency = 0.7
 	DefaultLaunchS    = 1e-6
-	DefaultLinkBW     = 5.0 * (1 << 30) // bytes/s
-	DefaultLinkLat    = 10e-6
 )
 
 // FromPlatform builds the simulated machine from a PDL platform. Quantities
@@ -110,25 +109,20 @@ func FromPlatform(pl *core.Platform) (*Machine, error) {
 		if !okF || !okT || from == to {
 			continue
 		}
-		bw, ok := ic.BandwidthBytesPerSec()
-		if !ok {
-			bw = DefaultLinkBW
-		}
-		lat, ok := ic.LatencySeconds()
-		if !ok {
-			lat = DefaultLinkLat
-		}
-		m.addLink(from, to, bw, lat)
+		lat, perByte := ic.Cost()
+		m.addLink(from, to, lat, perByte)
 		if ic.Duplex {
-			m.addLink(to, from, bw, lat)
+			m.addLink(to, from, lat, perByte)
 		}
 	}
 	// Guarantee host↔device connectivity even when the descriptor omits
-	// links (abstract patterns): default PCIe characteristics.
+	// links (abstract patterns): an undeclared link prices like a declared
+	// one without properties.
+	lat, perByte := (&core.Interconnect{}).Cost()
 	for _, u := range m.Units {
 		if u.MemNode != 0 && m.link(0, u.MemNode) == nil {
-			m.addLink(0, u.MemNode, DefaultLinkBW, DefaultLinkLat)
-			m.addLink(u.MemNode, 0, DefaultLinkBW, DefaultLinkLat)
+			m.addLink(0, u.MemNode, lat, perByte)
+			m.addLink(u.MemNode, 0, lat, perByte)
 		}
 	}
 	if len(m.Units) == 0 {
@@ -157,11 +151,11 @@ func unitLaunch(pu *core.PU) float64 {
 	return us * 1e-6
 }
 
-func (m *Machine) addLink(from, to int, bw, lat float64) {
+func (m *Machine) addLink(from, to int, lat, perByte float64) {
 	if m.links[from] == nil {
 		m.links[from] = map[int]*Link{}
 	}
-	m.links[from][to] = &Link{From: from, To: to, Bandwidth: bw, Latency: lat}
+	m.links[from][to] = &Link{From: from, To: to, Latency: lat, SecPerByte: perByte}
 }
 
 func (m *Machine) link(from, to int) *Link {
@@ -227,7 +221,7 @@ func (m *Machine) Unit(id string) *Unit {
 func (m *Machine) ScaleLinks(factor float64) {
 	for _, row := range m.links {
 		for _, l := range row {
-			l.Bandwidth *= factor
+			l.SecPerByte /= factor
 		}
 	}
 }

@@ -122,7 +122,7 @@ func TestSubmitBatchIntraBatchDeps(t *testing.T) {
 // that released a task early, lost one, or double-ran one fails here, and the
 // run doubles as a -race exercise of the batched push paths.
 func TestQuickRealBatchExactlyOnceOrdered(t *testing.T) {
-	for _, sched := range []string{"eager", "ws", "dmda"} {
+	for _, sched := range []string{"ws", "dmda"} {
 		for _, seed := range []int64{1, 2, 3} {
 			var mu sync.Mutex
 			counts := map[*Task]int{}

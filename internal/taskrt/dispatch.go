@@ -79,11 +79,6 @@ func (s *creditSem) acquire(done, abort <-chan struct{}) bool {
 // synchronisation: one queue pass and one semaphore release for the whole
 // batch.
 //
-//   - chanDispatcher is the single shared FIFO the engine used historically
-//     (StarPU's eager central queue): one buffered channel every worker
-//     drains, selected by Scheduler "eager". It is kept both as the
-//     behavioural baseline and so the bench pipeline can measure the
-//     dispatch-overhead delta against the stealing engine in one binary.
 //   - stealDispatcher gives each worker a Chase-Lev deque plus one shared
 //     injector for pushes from outside the pool. A worker that completes a
 //     task pushes newly-ready dependents onto its own deque and pops them
@@ -137,57 +132,6 @@ const takeRetry = -2
 // blacklisted. Queues of offline workers stay stealable either way.
 type offlineAware interface {
 	setOffline(w int, offline bool)
-}
-
-// chanDispatcher: the single-channel baseline.
-type chanDispatcher struct {
-	queue chan *Task
-	sem   *creditSem
-}
-
-// newChanDispatcher sizes the queue so pushes never block: a task occupies
-// at most one slot at a time, even across retries.
-func newChanDispatcher(workers, tasks int) *chanDispatcher {
-	return &chanDispatcher{
-		queue: make(chan *Task, tasks),
-		sem:   newCreditSem(workers + tasks),
-	}
-}
-
-func (d *chanDispatcher) push(from int, t *Task) {
-	d.queue <- t
-	d.sem.release(1)
-}
-
-func (d *chanDispatcher) pushBatch(from int, ts []*Task) {
-	for _, t := range ts {
-		d.queue <- t
-	}
-	d.sem.release(len(ts))
-}
-
-func (d *chanDispatcher) acquire(done, abort <-chan struct{}) bool {
-	return d.sem.acquire(done, abort)
-}
-
-func (d *chanDispatcher) take(w int, abort <-chan struct{}) (*Task, int) {
-	select {
-	case t := <-d.queue:
-		return t, -1
-	case <-abort:
-		return nil, -1
-	}
-}
-
-func (d *chanDispatcher) stolen(int) int { return 0 }
-
-func (d *chanDispatcher) finished(int, *Task, time.Duration, bool) {}
-
-func (d *chanDispatcher) depth(w int) int {
-	if w < 0 {
-		return len(d.queue)
-	}
-	return 0
 }
 
 // stealDispatcher: per-worker Chase-Lev deques, a shared injector, and
@@ -296,25 +240,10 @@ func (d *stealDispatcher) depth(w int) int {
 	return len(d.inj)
 }
 
-// Placement-decision sources, in falling confidence order. They label the
-// taskrt_sched_decisions_total metrics family and the trace.Place events.
-const (
-	placeModel    = "model"    // perfmodel estimate for the worker's arch
-	placeFallback = "fallback" // worker's observed mean task time
-	placeCold     = "cold"     // no history anywhere: zero-cost estimate
-)
-
 // maxNodes bounds the memory-node count the data-aware machinery handles:
 // handle residency is a 64-bit bitmask (one bit per platform master).
 // Platforms with more masters than bits fall back to transfer-blind dmda.
 const maxNodes = 64
-
-// Interconnects declared without BANDWIDTH/LATENCY properties get the same
-// defaults the sim engine assumes (internal/simhw): 5 GiB/s, 10 µs.
-const (
-	defaultLinkBandwidth = 5 << 30 // bytes/s
-	defaultLinkLatencyNS = 10e3    // nanoseconds
-)
 
 // xferCost is the modelled cost of moving bytes between two memory nodes:
 // total latency plus inverse bandwidth, summed over the PDL-declared route.
@@ -375,20 +304,16 @@ type dmdaWorker struct {
 }
 
 // dmdaDispatcher implements StarPU's dmda (deque model, data aware) policy
-// on the real engine: push scores every online worker with an expected
-// finish time — outstanding backlog, plus the predicted execution time of
-// the task on that worker's architecture, plus the modelled time to move
-// any non-resident read operands onto that worker's memory node — and
-// routes the task to the minimum. Residency is tracked per handle as a
+// on the real engine: push scores every online worker through ChooseEFT —
+// outstanding backlog, plus the predicted execution time of the task on
+// that worker's architecture, plus the modelled time to move any
+// non-resident read operands onto that worker's memory node — and routes
+// the task to the minimum. Residency is tracked per handle as a
 // bitmask of memory nodes: a write moves the handle to the writer's node, a
 // placement marks the chosen node resident ahead of dequeue (the prefetch
 // hint — later siblings reading the same handle see the transfer already
-// paid and co-locate). Prediction sources fall back in order: the cached
-// perfmodel estimate for (codelet, arch), the worker's observed mean task
-// time, then the pool-wide observed mean while the worker is cold — cold
-// workers compete on backlog like everyone else instead of taking absolute
-// priority, which is what previously sent every homogeneous placement to
-// the same few workers and forced a steal for the rest. Workers whose own
+// paid and co-locate). Predictions follow Bid.estimate's chain, with the
+// perfmodel estimate for (codelet, arch) cached per codelet. Workers whose own
 // queue runs dry steal from victims, so a misprediction costs a steal (and
 // its transfer charge) rather than idle time.
 type dmdaDispatcher struct {
@@ -427,9 +352,9 @@ func newDmdaDispatcher(archs []string, nodes []int, costs [][]xferCost, tasks []
 		sem:         newCreditSem(len(archs) + len(tasks)),
 		nodes:       len(costs),
 		costs:       costs,
-		decModel:    rtm.schedDecisions.With("dmda", placeModel),
-		decFallback: rtm.schedDecisions.With("dmda", placeFallback),
-		decCold:     rtm.schedDecisions.With("dmda", placeCold),
+		decModel:    rtm.schedDecisions.With("dmda", PlaceModel),
+		decFallback: rtm.schedDecisions.With("dmda", PlaceFallback),
+		decCold:     rtm.schedDecisions.With("dmda", PlaceCold),
 		prefetches:  rtm.prefetches,
 		xferSeconds: rtm.schedTransfer,
 	}
@@ -482,11 +407,12 @@ func newDmdaDispatcher(archs []string, nodes []int, costs [][]xferCost, tasks []
 	return d
 }
 
-// estimate predicts t's execution time on worker w in nanoseconds, tagged
-// with the prediction source. The model path is lock-free in steady state:
-// the cached snapshot is valid until a Record bumps the model version.
-func (d *dmdaDispatcher) estimate(t *Task, w int) (nanos int64, source string) {
+// bid describes worker w to ChooseEFT for t, without the transfer term.
+// The model path is lock-free in steady state: the cached snapshot is valid
+// until a Record bumps the model version.
+func (d *dmdaDispatcher) bid(t *Task, w int) Bid {
 	wk := &d.workers[w]
+	b := Bid{Backlog: float64(wk.outstanding.Load()), Penalty: 1}
 	if pe := t.pred; pe != nil {
 		ai := wk.archIdx
 		v := pe.models[ai].Version()
@@ -496,19 +422,29 @@ func (d *dmdaDispatcher) estimate(t *Task, w int) (nanos int64, source string) {
 			s = &predSnap{version: v, flops: t.Flops, nanos: int64(sec * 1e9), ok: ok}
 			pe.snaps[ai].Store(s)
 		}
-		if s.ok {
-			return s.nanos, placeModel
-		}
+		b.Model, b.ModelOK = float64(s.nanos), s.ok
 	}
 	if n := wk.completed.Load(); n > 0 {
-		return wk.busyNanos.Load() / n, placeFallback
+		b.Mean, b.Samples = float64(wk.busyNanos.Load()/n), n
 	}
-	// Cold worker: charge the pool-wide observed mean so untried workers
-	// still accumulate backlog instead of becoming zero-cost magnets.
+	return b
+}
+
+// poolMean is the pool-wide observed mean task time (0 before any
+// completion), the estimate of a cold worker.
+func (d *dmdaDispatcher) poolMean() float64 {
 	if n := d.totCompleted.Load(); n > 0 {
-		return d.totBusy.Load() / n, placeCold
+		return float64(d.totBusy.Load() / n)
 	}
-	return 0, placeCold
+	return 0
+}
+
+// estimate predicts t's execution time on worker w in nanoseconds, tagged
+// with the prediction source (Bid.estimate's chain).
+func (d *dmdaDispatcher) estimate(t *Task, w int) (nanos int64, source string) {
+	b := d.bid(t, w)
+	est, src := b.estimate(d.poolMean())
+	return int64(est), src
 }
 
 // transferToNode models the nanoseconds needed to make t's read operands
@@ -543,57 +479,35 @@ func (d *dmdaDispatcher) transferToNode(t *Task, node int) int64 {
 	return total
 }
 
-// choose scores the online workers and returns the winner, the decision
+// choose places t through ChooseEFT and returns the winner, the decision
 // source, the predicted nanoseconds charged to its backlog (execution +
 // transfer), and the transfer component alone. It allocates nothing: the
 // per-node transfer costs live in a stack array and the estimate cache
-// replaces the old per-worker map-and-lock lookups.
+// replaces per-worker map-and-lock lookups.
 func (d *dmdaDispatcher) choose(t *Task) (w int, source string, charge, xfer int64) {
 	var xferByNode [maxNodes]int64
-	dataAware := d.dataAware && len(t.Accesses) > 0
-	if dataAware {
+	if d.dataAware && len(t.Accesses) > 0 {
 		for n := 0; n < d.nodes; n++ {
 			xferByNode[n] = d.transferToNode(t, n)
 		}
 	}
-	nw := len(d.workers)
-	// Rotate the scan start so equal-EFT candidates spread instead of
-	// piling onto the lowest-indexed worker.
-	start := int(d.rr.Add(1)-1) % nw
-	best, bestEFT, bestEst, bestXfer := -1, int64(0), int64(0), int64(0)
-	bestSrc := placeCold
-	for i := 0; i < nw; i++ {
-		wi := start + i
-		if wi >= nw {
-			wi -= nw
-		}
-		wk := &d.workers[wi]
+	start := int(d.rr.Add(1)-1) % len(d.workers)
+	c, ok := ChooseEFT(len(d.workers), start, t.Priority, d.poolMean(), func(i int) (Bid, bool) {
+		wk := &d.workers[i]
 		if wk.offline.Load() {
-			continue
+			return Bid{}, false
 		}
-		est, src := d.estimate(t, wi)
-		x := xferByNode[wk.node]
-		eft := wk.outstanding.Load() + est + x
-		better := best < 0 || eft < bestEFT
-		// Critical-path hint: when a prioritised task sees two workers with
-		// the same finish time, take the one that executes it faster — the
-		// chain's next dependency releases sooner even though this task's
-		// completion instant is nominally equal.
-		if !better && t.Priority > 0 && eft == bestEFT && est < bestEst {
-			better = true
-		}
-		if better {
-			best, bestEFT, bestEst, bestXfer, bestSrc = wi, eft, est, x, src
-		}
-	}
-	if best < 0 {
+		b := d.bid(t, i)
+		b.Transfer = float64(xferByNode[wk.node])
+		return b, true
+	})
+	if !ok {
 		// Every worker offline: place round-robin anyway — the queue stays
 		// stealable, and the engine aborts if no worker can ever recover.
-		wi := start
-		est, src := d.estimate(t, wi)
-		return wi, src, est, 0
+		est, src := d.estimate(t, start)
+		return start, src, est, 0
 	}
-	return best, bestSrc, bestEst + bestXfer, bestXfer
+	return c.Index, c.Source, int64(c.Exec + c.Transfer), int64(c.Transfer)
 }
 
 // place routes one task: score, charge, mark residency (the prefetch hint),
@@ -602,9 +516,9 @@ func (d *dmdaDispatcher) choose(t *Task) (w int, source string, charge, xfer int
 func (d *dmdaDispatcher) place(t *Task) {
 	w, reason, charge, xfer := d.choose(t)
 	switch reason {
-	case placeModel:
+	case PlaceModel:
 		d.decModel.Inc()
-	case placeFallback:
+	case PlaceFallback:
 		d.decFallback.Inc()
 	default:
 		d.decCold.Inc()

@@ -217,17 +217,24 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// backoff returns the capped exponential delay in seconds before retry
-// attempt n (n counts failures so far, starting at 1).
-func (p RetryPolicy) backoff(n int) float64 {
+// Backoff is the one capped exponential retry delay: base × 2^(n−1) before
+// retry n (n counts failures so far; n < 1 counts as 1), never above limit.
+// Any unit works — RetryPolicy passes seconds, the cluster master
+// nanoseconds.
+func Backoff(base, limit float64, n int) float64 {
 	if n < 1 {
 		n = 1
 	}
-	d := p.BackoffBase * math.Pow(2, float64(n-1))
-	if d > p.BackoffCap {
-		d = p.BackoffCap
+	d := base * math.Pow(2, float64(n-1))
+	if d > limit {
+		d = limit
 	}
 	return d
+}
+
+// backoff returns the delay in seconds before retry attempt n.
+func (p RetryPolicy) backoff(n int) float64 {
+	return Backoff(p.BackoffBase, p.BackoffCap, n)
 }
 
 // backoffDuration is backoff as a wall-clock duration (Real mode).

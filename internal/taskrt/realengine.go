@@ -32,9 +32,8 @@ var errInjected = fmt.Errorf("taskrt: injected fault")
 // completions push newly-ready dependents onto the completing worker's own
 // deque (the locality hint — the dependent's inputs are still hot in that
 // worker's cache), and idle workers steal FIFO from victims. Scheduler
-// "eager" selects the historical single-shared-channel dispatch instead, so
-// the two can be compared in one binary (see dispatch.go), and "dmda" routes
-// each push to the worker with the earliest model-predicted finish time —
+// "dmda" instead routes each push to the worker with the earliest
+// model-predicted finish time (ChooseEFT) —
 // perfmodel history per worker architecture plus interconnect-modelled
 // transfer cost for operands not resident on the worker's memory node (one
 // node per platform master, costs from the PDL's declared interconnects) —
@@ -117,8 +116,6 @@ func (rt *Runtime) runReal() (*Report, error) {
 
 	var disp dispatcher
 	switch rt.cfg.Scheduler {
-	case "eager":
-		disp = newChanDispatcher(workers, len(rt.tasks))
 	case "dmda":
 		// dmda is model-driven: without a caller-provided store it still
 		// self-calibrates within the run (the engine records every execution
@@ -632,34 +629,17 @@ func workerNodes(pl *core.Platform, workers int) ([]int, []string) {
 }
 
 // interconnectCosts models the PDL-declared transfer cost between every pair
-// of master memory nodes: latency plus inverse bandwidth summed over the
-// shortest declared route, with sim-engine defaults for links that omit
-// BANDWIDTH or LATENCY. Node pairs with no declared route cost zero —
-// platforms that declare no interconnects get exactly the transfer-blind
-// dmda behaviour they had before.
+// of master memory nodes: core.Platform.RouteCost over the shortest declared
+// route. Node pairs with no declared route cost zero — platforms that
+// declare no interconnects get exactly the transfer-blind dmda behaviour
+// they had before.
 func interconnectCosts(pl *core.Platform, ids []string) [][]xferCost {
 	costs := make([][]xferCost, len(ids))
 	for i := range costs {
 		costs[i] = make([]xferCost, len(ids))
 		for j := range costs[i] {
-			if i == j {
-				continue
-			}
-			path, err := pl.Route(ids[i], ids[j])
-			if err != nil {
-				continue
-			}
-			for _, ic := range path {
-				lat, ok := ic.LatencySeconds()
-				if !ok {
-					lat = defaultLinkLatencyNS / 1e9
-				}
-				bw, ok := ic.BandwidthBytesPerSec()
-				if !ok || bw <= 0 {
-					bw = defaultLinkBandwidth
-				}
-				costs[i][j].latNanos += lat * 1e9
-				costs[i][j].nanosPerByte += 1e9 / bw
+			if lat, perByte, err := pl.RouteCost(ids[i], ids[j]); err == nil {
+				costs[i][j] = xferCost{latNanos: lat * 1e9, nanosPerByte: perByte * 1e9}
 			}
 		}
 	}

@@ -44,8 +44,8 @@ type Report struct {
 	// Blacklisted lists the units taken out of scheduling by failures and
 	// still offline at the end of the run, sorted.
 	Blacklisted []string
-	// Steals totals the per-unit steal counts (real-mode work-stealing
-	// dispatch only; 0 under the "eager" single-queue dispatch and in Sim).
+	// Steals totals the per-unit steal counts (real-mode dispatch only; 0
+	// in Sim).
 	Steals int
 }
 

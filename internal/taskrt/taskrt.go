@@ -106,9 +106,9 @@ type Config struct {
 	// Scheduler names the scheduling policy: "eager", "dmda", "heft", "ws"
 	// (work stealing) or "random". Empty defaults to "ws" in Real mode
 	// (per-worker deques with stealing) and "eager" in Sim mode. The Real
-	// engine implements "eager", "ws" and "dmda" (model-predicted earliest
-	// finish time placement; see dispatch.go) and treats any other policy as
-	// "ws"; the Sim engine implements all five.
+	// engine implements "ws" and "dmda" (model-predicted earliest finish
+	// time placement; see dispatch.go) and runs "eager", "heft" and
+	// "random" as "ws"; the Sim engine implements all five.
 	Scheduler string
 	// Workers overrides the Real-mode worker count (default: the platform's
 	// x86 unit count).

@@ -7,9 +7,8 @@ const DefaultShardCapacity = 1 << 16
 
 // shardChunk is the allocation unit of a shard. Chunks are sealed when full
 // and handed to the parent Trace at Flush by ownership transfer — never
-// copied — so the recording path's total allocation is exactly the events
-// recorded: no doubling-growth copies, no merge copy, no GC churn beyond
-// the data itself.
+// copied — so the recording path allocates no doubling-growth copies and
+// no merge copy; only the partly filled tail is copied at Flush.
 const shardChunk = 1024
 
 // Shard is a single-producer event buffer owned by one worker goroutine.
@@ -73,20 +72,29 @@ func (s *Shard) Len() int { return s.buffered + len(s.cur) }
 func (s *Shard) Dropped() uint64 { return s.dropped }
 
 // Flush hands the buffered chunks to the parent trace in recording order
-// and resets the shard for reuse. Ownership transfers — no event is copied
-// — so merging a worker's whole history is O(chunks), not O(events).
+// and resets the shard for reuse. Full chunks transfer by ownership, so
+// merging a worker's whole history is O(chunks), not O(events). A partly
+// filled active chunk is copied into an exact-size block and kept for the
+// next records instead: a shard flushed after every event would otherwise
+// pin a whole chunk in the parent per event.
 func (s *Shard) Flush() {
 	if s.Len() == 0 && s.dropped == 0 {
 		return
 	}
 	s.parent.mu.Lock()
 	s.parent.blocks = append(s.parent.blocks, s.chunks...)
-	if len(s.cur) > 0 {
+	switch {
+	case len(s.cur) == 0:
+	case len(s.cur) == cap(s.cur):
 		s.parent.blocks = append(s.parent.blocks, s.cur)
+		s.cur = nil
+	default:
+		s.parent.blocks = append(s.parent.blocks, append([]Event(nil), s.cur...))
+		s.cur = s.cur[:0]
 	}
 	s.parent.dropped += s.dropped
 	s.parent.droppedTotal += s.dropped
 	s.parent.enforceLimitLocked()
 	s.parent.mu.Unlock()
-	s.chunks, s.cur, s.buffered, s.dropped = nil, nil, 0, 0
+	s.chunks, s.buffered, s.dropped = nil, 0, 0
 }

@@ -74,6 +74,29 @@ func TestShardReusableAfterFlush(t *testing.T) {
 	}
 }
 
+// A shard flushed after every event (the cluster worker's pattern) must not
+// pin a whole chunk in the parent per event: retained capacity stays a
+// small multiple of the retained events.
+func TestShardFlushPerEventRetainsExactBlocks(t *testing.T) {
+	tr := New()
+	tr.SetLimit(256)
+	sh := tr.NewShard(0)
+	for i := 0; i < 10000; i++ {
+		sh.Record(Event{Kind: Task, Unit: "w", TaskID: i})
+		sh.Flush()
+	}
+	events, capacity := tr.Len(), 0
+	for _, b := range tr.blocks {
+		capacity += cap(b)
+	}
+	if events == 0 || events > 256 {
+		t.Fatalf("trace holds %d events; want 1..256", events)
+	}
+	if capacity > 2*events {
+		t.Fatalf("retained capacity %d events for %d retained events", capacity, events)
+	}
+}
+
 func TestShardDefaultCapacity(t *testing.T) {
 	sh := New().NewShard(0)
 	if sh.limit != DefaultShardCapacity {
