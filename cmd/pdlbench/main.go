@@ -9,6 +9,7 @@
 //	pdlbench -exp faults [-n 4096] [-tile 1024] [-seed 1]
 //	pdlbench -exp gemm [-gemmn 1024] [-workers 0] [-matrix] [-out BENCH_gemm.json] [-trace out.json]
 //	pdlbench -exp cholesky|lu|factor [-n 1024] [-tile 128] [-slow 3] [-reps 3] [-out BENCH_factor.json]
+//	pdlbench -exp cluster [-n 512] [-tile 128] [-nodes URL,...] [-inprocess 2] [-trace out.json]
 //	pdlbench -exp serve -server http://127.0.0.1:8080 [-conc 4,16] [-requests 400] [-out SERVE_bench.json]
 //	pdlbench -exp check -baseline BENCH_gemm.json [-tol 0.15]
 //	pdlbench -exp all
@@ -215,8 +216,12 @@ func run(args []string, stdout io.Writer) error {
 			if *traceTo != "" {
 				tr = trace.New()
 			}
+			cn, ctile := *n, *tile
+			if cn == 8192 && ctile == 1024 { // flag defaults target fig5; the cluster default is N=512
+				cn, ctile = 512, 128
+			}
 			res, err = experiments.ClusterDGEMM(experiments.ClusterConfig{
-				N: 512, Tile: 128, Nodes: addrs, InProcess: *nproc, Trace: tr,
+				N: cn, Tile: ctile, Nodes: addrs, InProcess: *nproc, Trace: tr,
 			})
 			if err == nil && tr != nil {
 				// Prefer the published merged timeline: master placement

@@ -59,6 +59,17 @@ func TestFaultsExperiment(t *testing.T) {
 	}
 }
 
+// The cluster experiment honours -n/-tile like the other harnesses.
+func TestClusterExperimentSize(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-exp", "cluster", "-n", "256", "-tile", "128"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "n=256 tile=128") {
+		t.Fatalf("cluster table ignores -n/-tile:\n%s", out.String())
+	}
+}
+
 // TestGemmBenchJSON smoke-tests the Ext-I pipeline end to end: the table
 // renders, the -out artefact is written, and the JSON round-trips into the
 // struct the harness serialises with both schedulers present.

@@ -189,8 +189,9 @@ type Task struct {
 	id         int
 	deps       []*Task
 	dependents []*Task
-	// attempt counts failed attempts so far: the failure slow path stores,
-	// the next executing worker loads it to stamp its trace spans.
+	// attempt counts failed attempts so far, the engines' only count:
+	// countFailure increments it, the next executing worker loads it to
+	// stamp its trace spans, and failureCounts sums it into the Report.
 	attempt atomic.Int32
 	// estNanos is the execution+transfer prediction the dmda dispatcher
 	// charged to a worker's backlog when it placed this task; released by

@@ -120,19 +120,17 @@ type dispatcher interface {
 	// the attempt never executed the kernel (injected fault at launch), so
 	// observed-time statistics stay honest.
 	finished(w int, t *Task, d time.Duration, ran bool)
+	// setOffline tells the dispatcher the fault-tolerance layer blacklisted
+	// (or re-admitted) worker w. Dispatchers that route at push time keep
+	// placements away from offline workers; queues of offline workers stay
+	// stealable either way.
+	setOffline(w int, offline bool)
 }
 
 // takeRetry is the sentinel victim index a dispatcher's take returns (with a
 // nil task) after handing the worker's credit back to the semaphore: the
 // worker must loop through acquire rather than treat the nil as an abort.
 const takeRetry = -2
-
-// offlineAware is implemented by dispatchers that route at push time and
-// therefore must know which workers the fault-tolerance layer has
-// blacklisted. Queues of offline workers stay stealable either way.
-type offlineAware interface {
-	setOffline(w int, offline bool)
-}
 
 // stealDispatcher: per-worker Chase-Lev deques, a shared injector, and
 // per-worker steal counters (owner-written, merged after shutdown).
@@ -230,6 +228,10 @@ func (d *stealDispatcher) take(w int, abort <-chan struct{}) (*Task, int) {
 func (d *stealDispatcher) stolen(w int) int { return int(d.steals[w]) }
 
 func (d *stealDispatcher) finished(int, *Task, time.Duration, bool) {}
+
+// setOffline is a no-op: workers take tasks themselves, and a blacklisted
+// worker has stopped taking them.
+func (d *stealDispatcher) setOffline(int, bool) {}
 
 func (d *stealDispatcher) depth(w int) int {
 	if w >= 0 {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"time"
 )
 
@@ -47,11 +46,6 @@ type FaultEvent struct {
 	Delay float64
 }
 
-// trigger reports which triggers the event has configured.
-func (f *FaultEvent) trigger() (byTime bool, byTasks bool) {
-	return f.AtTime > 0, f.AfterTasks > 0
-}
-
 // FaultPlan is a deterministic schedule of injected failures. For a fixed
 // plan (and runtime seed) a simulated execution is bit-for-bit reproducible,
 // which is what makes fault-tolerance behaviour testable.
@@ -73,7 +67,7 @@ func (p *FaultPlan) Validate() error {
 		if f.Unit == "" {
 			return fmt.Errorf("taskrt: fault event %d has no unit", i)
 		}
-		byTime, byTasks := f.trigger()
+		byTime, byTasks := f.AtTime > 0, f.AfterTasks > 0
 		if f.Delay > 0 {
 			if byTime && byTasks {
 				return fmt.Errorf("taskrt: delay event %d (unit %q) may gate on at most one of AtTime/AfterTasks", i, f.Unit)
@@ -117,20 +111,6 @@ func (p *FaultPlan) DelaysForUnit(unit string) []FaultEvent {
 			out = append(out, f)
 		}
 	}
-	return out
-}
-
-// Units returns the distinct unit ids named by the plan, sorted.
-func (p *FaultPlan) Units() []string {
-	seen := map[string]bool{}
-	for _, f := range p.Events {
-		seen[f.Unit] = true
-	}
-	out := make([]string, 0, len(seen))
-	for u := range seen {
-		out = append(out, u)
-	}
-	sort.Strings(out)
 	return out
 }
 
@@ -240,6 +220,32 @@ func (p RetryPolicy) backoff(n int) float64 {
 // backoffDuration is backoff as a wall-clock duration (Real mode).
 func (p RetryPolicy) backoffDuration(n int) time.Duration {
 	return time.Duration(p.backoff(n) * float64(time.Second))
+}
+
+// countFailure counts one failed attempt of t, last run on unit, and returns
+// the attempt number. Once t has failed MaxAttempts times it also returns the
+// error that ends the run, wrapping cause. Task.attempt is the only attempt
+// count: the caller owns t while it handles the failure.
+func (p RetryPolicy) countFailure(t *Task, unit string, cause error) (int, error) {
+	n := int(t.attempt.Add(1))
+	if n < p.MaxAttempts {
+		return n, nil
+	}
+	return n, fmt.Errorf("taskrt: task %q (%s) failed %d attempts, last on %s: %w",
+		t.Codelet.Name, t.Label, n, unit, cause)
+}
+
+// failureCounts reports the run's failed attempts and the number of tasks
+// that failed at least once. Every failed attempt increments exactly one
+// task's count, so the sum is the run's total.
+func (rt *Runtime) failureCounts() (failedAttempts, retriedTasks int) {
+	for _, t := range rt.tasks {
+		if n := int(t.attempt.Load()); n > 0 {
+			failedAttempts += n
+			retriedTasks++
+		}
+	}
+	return failedAttempts, retriedTasks
 }
 
 // ftEnabled reports whether the fault-tolerance machinery is active: an

@@ -1,6 +1,7 @@
 package taskrt
 
 import (
+	"errors"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -31,9 +32,6 @@ func TestFaultPlanValidate(t *testing.T) {
 	}}
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
-	}
-	if got := good.Units(); len(got) != 2 || got[0] != "dev0" || got[1] != "dev1" {
-		t.Fatalf("Units() = %v", got)
 	}
 	// Invalid plans are rejected at construction.
 	if _, err := New(Config{
@@ -605,6 +603,141 @@ func TestBaseUnitID(t *testing.T) {
 	} {
 		if got := baseUnitID(in); got != want {
 			t.Errorf("baseUnitID(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
+// sleepyCodelet counts its kernel runs and sleeps briefly, so every worker
+// goroutine gets to pick tasks even on GOMAXPROCS=1.
+func sleepyCodelet(t *testing.T, runs *atomic.Int64) *Codelet {
+	t.Helper()
+	cl, err := NewCodelet("sleepy", Impl{Arch: "x86", Func: func(*TaskContext) error {
+		runs.Add(1)
+		time.Sleep(time.Millisecond)
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cl
+}
+
+// realRun submits n independent tasks of cl to a real-mode runtime built
+// from cfg on a 4-core CPU platform and runs them.
+func realRun(t *testing.T, cfg Config, cl *Codelet, n int) (*Report, error) {
+	t.Helper()
+	cfg.Platform = cpuPlatform(t, 4)
+	cfg.Mode = Real
+	rt, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := rt.Submit(&Task{Codelet: cl}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return rt.Run()
+}
+
+// An injected hang on a real worker is converted into a failure by the
+// watchdog: one trip, one failed attempt, the worker condemned, and the
+// kernel never runs for the hung launch.
+func TestRealInjectedHangTripsWatchdog(t *testing.T) {
+	var runs atomic.Int64
+	const n = 8
+	rep, err := realRun(t, Config{
+		Workers: 2,
+		Retry:   RetryPolicy{TaskTimeout: 0.02},
+		Faults:  &FaultPlan{Events: []FaultEvent{{Unit: "worker1", AfterTasks: 1, Hang: true}}},
+	}, sleepyCodelet(t, &runs), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.WatchdogTrips != 1 || rep.FailedAttempts != 1 || rep.RetriedTasks != 1 {
+		t.Fatalf("trips=%d failures=%d retried=%d", rep.WatchdogTrips, rep.FailedAttempts, rep.RetriedTasks)
+	}
+	if rep.BlacklistedUnits() != 1 || rep.Blacklisted[0] != "worker1" {
+		t.Fatalf("blacklisted = %v", rep.Blacklisted)
+	}
+	if got := runs.Load(); got != n {
+		t.Fatalf("kernel ran %d times, want %d", got, n)
+	}
+}
+
+// A codelet that always fails exhausts MaxAttempts: the run gives up with
+// the attempt count and keeps the codelet's error matchable.
+func TestRealMaxAttemptsExhausted(t *testing.T) {
+	errBoom := errors.New("boom")
+	cl, err := NewCodelet("doomed", Impl{Arch: "x86", Func: func(*TaskContext) error { return errBoom }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = realRun(t, Config{Workers: 2, Retry: RetryPolicy{MaxAttempts: 3}}, cl, 1)
+	if err == nil || !strings.Contains(err.Error(), "failed 3 attempts") || !errors.Is(err, errBoom) {
+		t.Fatalf("err = %v", err)
+	}
+}
+
+// Losing every worker with tasks still pending aborts the run instead of
+// waiting forever.
+func TestRealAllWorkersBlacklisted(t *testing.T) {
+	var runs atomic.Int64
+	_, err := realRun(t, Config{
+		Workers: 2,
+		Faults: &FaultPlan{Events: []FaultEvent{
+			{Unit: "worker0", AfterTasks: 1},
+			{Unit: "worker1", AfterTasks: 1},
+		}},
+	}, sleepyCodelet(t, &runs), 4)
+	if err == nil || !strings.Contains(err.Error(), "all 2 workers blacklisted") {
+		t.Fatalf("err = %v", err)
+	}
+}
+
+// A traced real run records one Failure and one Retry span per failed
+// attempt, one Blacklist per condemned worker and one Recover per transient
+// fault; task spans carry the task id and the retry its attempt number.
+func TestRealFaultTraceSpans(t *testing.T) {
+	var runs atomic.Int64
+	tr := trace.New()
+	if _, err := realRun(t, Config{
+		Workers: 4,
+		Trace:   tr,
+		Faults: &FaultPlan{Events: []FaultEvent{
+			{Unit: "worker1", AfterTasks: 1},
+			{Unit: "worker2", AfterTasks: 1, RecoverAfter: 0.005},
+		}},
+	}, sleepyCodelet(t, &runs), 24); err != nil {
+		t.Fatal(err)
+	}
+	for kind, want := range map[trace.Kind]int{trace.Failure: 2, trace.Retry: 2, trace.Blacklist: 2, trace.Recover: 1} {
+		if got := len(tr.OfKind(kind)); got != want {
+			t.Errorf("%v events = %d, want %d", kind, got, want)
+		}
+	}
+	// A requeued task may fail again on the other faulty worker, so the
+	// retry numbering is checked per task: 1, 2, ... in order.
+	retries := map[int]int{}
+	for _, e := range tr.OfKind(trace.Retry) {
+		if e.TaskID < 0 {
+			t.Fatalf("retry without task id: %+v", e)
+		}
+		retries[e.TaskID]++
+		if e.Attempt != retries[e.TaskID] {
+			t.Fatalf("retry attempt = %d, want %d: %+v", e.Attempt, retries[e.TaskID], e)
+		}
+	}
+	for _, e := range tr.OfKind(trace.Failure) {
+		if e.TaskID < 0 {
+			t.Fatalf("failure without task id: %+v", e)
+		}
+	}
+	for _, kind := range []trace.Kind{trace.Blacklist, trace.Recover} {
+		for _, e := range tr.OfKind(kind) {
+			if e.TaskID != trace.NoTask || (e.Unit != "worker1" && e.Unit != "worker2") {
+				t.Fatalf("unit event = %+v", e)
+			}
 		}
 	}
 }

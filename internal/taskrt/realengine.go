@@ -14,9 +14,9 @@ import (
 	"repro/internal/trace"
 )
 
-// errInjected marks an injected fault in real mode. Injected failures fire
-// at task launch, before the kernel touches data, so retries operate on
-// unmodified payloads.
+// errInjected is the cause of a failed attempt an injected fault killed. In
+// real mode injected failures fire at task launch, before the kernel touches
+// data, so retries operate on unmodified payloads.
 var errInjected = fmt.Errorf("taskrt: injected fault")
 
 // runReal executes the task graph on goroutine workers. Only implementations
@@ -69,7 +69,11 @@ func (rt *Runtime) runReal() (*Report, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	archs := workerArchs(rt.cfg.Platform, workers)
+	nodes := workerMasters(rt.cfg.Platform, workers)
+	archs := make([]string, workers)
+	for w, mi := range nodes {
+		archs[w] = rt.cfg.Platform.Masters[mi].Architecture()
+	}
 
 	// Pre-validate: every task must have a runnable implementation for every
 	// worker architecture — eager and work-stealing dispatch route blindly,
@@ -124,8 +128,7 @@ func (rt *Runtime) runReal() (*Report, error) {
 		if rt.cfg.Models == nil {
 			rt.cfg.Models = perfmodel.NewStore()
 		}
-		nodes, nodeIDs := workerNodes(rt.cfg.Platform, workers)
-		costs := interconnectCosts(rt.cfg.Platform, nodeIDs)
+		costs := interconnectCosts(rt.cfg.Platform)
 		disp = newDmdaDispatcher(archs, nodes, costs, rt.tasks, rt.cfg.Models)
 	default:
 		disp = newStealDispatcher(workers, len(rt.tasks))
@@ -139,16 +142,13 @@ func (rt *Runtime) runReal() (*Report, error) {
 	}
 
 	var (
-		mu             sync.Mutex // guards the failure slow path below
-		firstErr       error
-		attempts       = make([]int, len(rt.tasks))
-		retriedSet     = map[int]bool{}
-		failedAttempts = 0
-		watchdogTrips  = 0
-		alive          = workers
-		recovering     = 0
-		blacklisted    = map[string]bool{}
-		timers         = map[*time.Timer]struct{}{} // outstanding requeue timers
+		mu            sync.Mutex // guards the failure slow path below
+		firstErr      error
+		watchdogTrips = 0
+		alive         = workers
+		recovering    = 0
+		blacklisted   = map[string]bool{}
+		timers        = map[*time.Timer]struct{}{} // outstanding requeue timers
 
 		failed  atomic.Bool
 		pending atomic.Int64 // tasks not yet finally resolved
@@ -339,6 +339,60 @@ func (rt *Runtime) runReal() (*Report, error) {
 				}
 				sh.Record(ev)
 			}
+			// failAttempt is the one failed-attempt path, shared by injected
+			// faults, codelet errors and watchdog trips. It records the
+			// failure, fails the run fast without fault tolerance, counts
+			// the attempt (giving up at MaxAttempts), requeues the task with
+			// backoff and, when condemned, blacklists this worker;
+			// recoverAfter > 0 marks the blacklisting transient. It reports
+			// whether the worker may keep taking tasks.
+			failAttempt := func(t *Task, attempt int, t0, detected time.Time, cause error, watchdog, condemned bool, recoverAfter float64) bool {
+				rec(trace.Failure, t, attempt, t0, detected, "")
+				mu.Lock()
+				if !ft {
+					// Fail fast: the original no-recovery contract.
+					fail(fmt.Errorf("taskrt: task %q (%s): %w", t.Codelet.Name, t.Label, cause))
+					mu.Unlock()
+					resolve()
+					return false
+				}
+				if watchdog {
+					watchdogTrips++
+				}
+				n, err := policy.countFailure(t, unitID, cause)
+				if err != nil {
+					fail(err)
+					mu.Unlock()
+					resolve()
+					return false
+				}
+				backoff := policy.backoffDuration(n)
+				requeue(t, backoff)
+				if condemned {
+					// Other workers keep draining: this worker's deque
+					// remains stealable.
+					blacklisted[unitID] = true
+					alive--
+					if recoverAfter > 0 {
+						recovering++
+					}
+					if alive == 0 && recovering == 0 && pending.Load() > 0 {
+						fail(fmt.Errorf("taskrt: all %d workers blacklisted with %d task(s) pending", workers, pending.Load()))
+					}
+				}
+				mu.Unlock()
+				if condemned {
+					blGauge.Set(1)
+					disp.setOffline(worker, true)
+					now := time.Now()
+					rec(trace.Blacklist, nil, 0, now, now, "")
+					if rt.cfg.Tracker != nil {
+						_ = rt.cfg.Tracker.SetOffline(unitID) // best effort: tracker may not know worker ids
+					}
+				}
+				rec(trace.Retry, t, n, detected, detected.Add(backoff), "")
+				return !condemned
+			}
 			for {
 				if !disp.acquire(done, abort) {
 					return
@@ -385,55 +439,15 @@ func (rt *Runtime) runReal() (*Report, error) {
 						case <-abort:
 							return
 						}
-						mu.Lock()
-						watchdogTrips++
-						mu.Unlock()
 					}
-					detected := time.Now()
-					rec(trace.Failure, t, attempt, t0, detected, "")
 					// The kernel never ran: release the dispatcher's
 					// outstanding-work charge without skewing observed means.
 					disp.finished(worker, t, 0, false)
-					mu.Lock()
-					failedAttempts++
-					retriedSet[t.id] = true
-					attempts[t.id]++
-					n := attempts[t.id]
-					t.attempt.Store(int32(n))
-					if n >= policy.MaxAttempts {
-						fail(fmt.Errorf("taskrt: task %q (%s) failed %d attempts, last on %s: %w",
-							t.Codelet.Name, t.Label, n, unitID, errInjected))
-						mu.Unlock()
-						resolve()
-						return
-					}
-					backoff := policy.backoffDuration(n)
-					requeue(t, backoff)
-					// Blacklist this worker; other workers keep draining (its
-					// deque remains stealable).
-					blacklisted[unitID] = true
-					alive--
-					if inj.RecoverAfter > 0 {
-						recovering++
-					}
-					if alive == 0 && recovering == 0 && pending.Load() > 0 {
-						fail(fmt.Errorf("taskrt: all %d workers blacklisted with %d task(s) pending", workers, pending.Load()))
-					}
-					mu.Unlock()
-					rec(trace.Retry, t, n, detected, detected.Add(backoff), "")
-					blGauge.Set(1)
-					if oa, ok := disp.(offlineAware); ok {
-						oa.setOffline(worker, true)
-					}
-					now := time.Now()
-					rec(trace.Blacklist, nil, 0, now, now, "")
-					if rt.cfg.Tracker != nil {
-						_ = rt.cfg.Tracker.SetOffline(unitID) // best effort: tracker may not know worker ids
-					}
+					failAttempt(t, attempt, t0, time.Now(), errInjected, inj.Hang, true, inj.RecoverAfter)
 					if inj.RecoverAfter <= 0 {
 						return // permanently dead
 					}
-					select {
+					select { // a run that gave up has closed abort
 					case <-time.After(time.Duration(inj.RecoverAfter * float64(time.Second))):
 					case <-abort:
 						return
@@ -444,10 +458,8 @@ func (rt *Runtime) runReal() (*Report, error) {
 					recovering--
 					mu.Unlock()
 					blGauge.Set(0)
-					if oa, ok := disp.(offlineAware); ok {
-						oa.setOffline(worker, false)
-					}
-					now = time.Now()
+					disp.setOffline(worker, false)
+					now := time.Now()
 					rec(trace.Recover, nil, 0, now, now, "")
 					if rt.cfg.Tracker != nil {
 						_ = rt.cfg.Tracker.SetOnline(unitID)
@@ -481,70 +493,23 @@ func (rt *Runtime) runReal() (*Report, error) {
 				}
 				d := time.Since(t0)
 				disp.finished(worker, t, d, true)
+				st.busy += d
 				if err == nil {
 					rec(trace.Task, t, attempt, t0, t0.Add(d), "")
 					hist.Observe(d.Seconds())
 					if rt.cfg.Models != nil && t.Flops > 0 && d > 0 {
 						_ = rt.cfg.Models.Model(t.Codelet.Name, st.arch).Record(t.Flops, d.Seconds())
 					}
-					st.busy += d
 					st.count++
 					release(worker, t)
 					resolve()
 					continue
 				}
-				// Failure path.
-				detected := t0.Add(d)
-				rec(trace.Failure, t, attempt, t0, detected, "")
-				st.busy += d
-				if !ft {
-					// Fail fast: the original no-recovery contract.
-					mu.Lock()
-					fail(fmt.Errorf("taskrt: task %q (%s): %w", t.Codelet.Name, t.Label, err))
-					mu.Unlock()
-					resolve()
+				// A hung kernel condemns its worker: the unit cannot be
+				// trusted (the orphaned goroutine may still hold it).
+				if !failAttempt(t, attempt, t0, t0.Add(d), err, wdog, wdog, 0) {
 					return
 				}
-				mu.Lock()
-				failedAttempts++
-				retriedSet[t.id] = true
-				attempts[t.id]++
-				n := attempts[t.id]
-				t.attempt.Store(int32(n))
-				if wdog {
-					watchdogTrips++
-				}
-				if n >= policy.MaxAttempts {
-					fail(fmt.Errorf("taskrt: task %q (%s) failed %d attempts: %w", t.Codelet.Name, t.Label, n, err))
-					mu.Unlock()
-					resolve()
-					return
-				}
-				backoff := policy.backoffDuration(n)
-				requeue(t, backoff)
-				if wdog {
-					// A hung kernel condemns its worker: the unit cannot be
-					// trusted (the orphaned goroutine may still hold it).
-					blacklisted[unitID] = true
-					alive--
-					if alive == 0 && recovering == 0 && pending.Load() > 0 {
-						fail(fmt.Errorf("taskrt: all %d workers blacklisted with %d task(s) pending", workers, pending.Load()))
-					}
-					mu.Unlock()
-					rec(trace.Retry, t, n, detected, detected.Add(backoff), "")
-					blGauge.Set(1)
-					if oa, ok := disp.(offlineAware); ok {
-						oa.setOffline(worker, true)
-					}
-					now := time.Now()
-					rec(trace.Blacklist, nil, 0, now, now, "")
-					if rt.cfg.Tracker != nil {
-						_ = rt.cfg.Tracker.SetOffline(unitID)
-					}
-					return
-				}
-				mu.Unlock()
-				rec(trace.Retry, t, n, detected, detected.Add(backoff), "")
 			}
 		}(w)
 	}
@@ -568,10 +533,9 @@ func (rt *Runtime) runReal() (*Report, error) {
 		Scheduler:       rt.cfg.Scheduler,
 		Tasks:           len(rt.tasks),
 		MakespanSeconds: elapsed.Seconds(),
-		FailedAttempts:  failedAttempts,
-		RetriedTasks:    len(retriedSet),
 		WatchdogTrips:   watchdogTrips,
 	}
+	rep.FailedAttempts, rep.RetriedTasks = rt.failureCounts()
 	for id := range blacklisted {
 		rep.Blacklisted = append(rep.Blacklisted, id)
 	}
@@ -590,34 +554,14 @@ func (rt *Runtime) runReal() (*Report, error) {
 	return rep, nil
 }
 
-// workerArchs assigns one architecture per real-mode worker: platform
-// Masters expand in declaration order, each contributing EffectiveQuantity
-// workers of its architecture. An explicit Config.Workers override truncates
-// the expansion or pads it with the first master's architecture, preserving
-// the historical homogeneous behaviour on single-arch platforms.
-func workerArchs(pl *core.Platform, workers int) []string {
-	archs := make([]string, 0, workers)
-	for _, m := range pl.Masters {
-		for i := 0; i < m.EffectiveQuantity() && len(archs) < workers; i++ {
-			archs = append(archs, m.Architecture())
-		}
-	}
-	for len(archs) < workers {
-		archs = append(archs, pl.Masters[0].Architecture())
-	}
-	return archs
-}
-
-// workerNodes assigns each real-mode worker the memory node of the platform
-// master it expands from: masters in declaration order define the node ids,
-// matching workerArchs exactly (padding beyond the expansion lands on node
-// 0). The returned ids name each node by its master's PU id, for route
-// lookups against the PDL.
-func workerNodes(pl *core.Platform, workers int) ([]int, []string) {
+// workerMasters expands the platform masters into real-mode workers: masters
+// in declaration order each contribute EffectiveQuantity workers, and an
+// explicit Config.Workers override truncates the expansion or pads it with
+// the first master. It returns each worker's master index, which is also its
+// memory node and selects its architecture.
+func workerMasters(pl *core.Platform, workers int) []int {
 	nodes := make([]int, 0, workers)
-	ids := make([]string, len(pl.Masters))
 	for mi, m := range pl.Masters {
-		ids[mi] = m.ID
 		for i := 0; i < m.EffectiveQuantity() && len(nodes) < workers; i++ {
 			nodes = append(nodes, mi)
 		}
@@ -625,7 +569,7 @@ func workerNodes(pl *core.Platform, workers int) ([]int, []string) {
 	for len(nodes) < workers {
 		nodes = append(nodes, 0)
 	}
-	return nodes, ids
+	return nodes
 }
 
 // interconnectCosts models the PDL-declared transfer cost between every pair
@@ -633,12 +577,12 @@ func workerNodes(pl *core.Platform, workers int) ([]int, []string) {
 // route. Node pairs with no declared route cost zero — platforms that
 // declare no interconnects get exactly the transfer-blind dmda behaviour
 // they had before.
-func interconnectCosts(pl *core.Platform, ids []string) [][]xferCost {
-	costs := make([][]xferCost, len(ids))
+func interconnectCosts(pl *core.Platform) [][]xferCost {
+	costs := make([][]xferCost, len(pl.Masters))
 	for i := range costs {
-		costs[i] = make([]xferCost, len(ids))
+		costs[i] = make([]xferCost, len(pl.Masters))
 		for j := range costs[i] {
-			if lat, perByte, err := pl.RouteCost(ids[i], ids[j]); err == nil {
+			if lat, perByte, err := pl.RouteCost(pl.Masters[i].ID, pl.Masters[j].ID); err == nil {
 				costs[i][j] = xferCost{latNanos: lat * 1e9, nanosPerByte: perByte * 1e9}
 			}
 		}
@@ -659,13 +603,4 @@ func (rt *Runtime) taskTimeout(t *Task, arch string, policy RetryPolicy) time.Du
 		return time.Duration(policy.TaskTimeout * float64(time.Second))
 	}
 	return 0
-}
-
-// HostArch returns the architecture tag real-mode kernels must target for
-// the given platform.
-func HostArch(pl *core.Platform) string {
-	if len(pl.Masters) == 0 {
-		return ""
-	}
-	return pl.Masters[0].Architecture()
 }

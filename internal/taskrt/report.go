@@ -35,7 +35,8 @@ type Report struct {
 	// Fault-tolerance statistics (zero unless failures occurred).
 
 	// FailedAttempts counts task attempts that ended in failure (injected,
-	// codelet error, or watchdog) and were recovered from.
+	// codelet error, or watchdog) and were recovered from: the sum of every
+	// task's failed attempts.
 	FailedAttempts int
 	// RetriedTasks counts distinct tasks that needed at least one retry.
 	RetriedTasks int

@@ -39,10 +39,9 @@ func (su *simUnit) availAt() sim.Time {
 
 // simFailure describes one failed attempt to the scheduling loop.
 type simFailure struct {
-	at       sim.Time // detection time
-	unit     string
-	unitIdx  int
-	watchdog bool
+	at      sim.Time // detection time
+	unit    string
+	unitIdx int
 }
 
 // simState is the mutable state of one simulated execution.
@@ -64,9 +63,8 @@ type simState struct {
 	transferSecs  float64
 	transferCount int
 
-	failedAttempts int
-	watchdogTrips  int
-	failedUnits    []string // permanently blacklisted by failures, in order
+	watchdogTrips int
+	failedUnits   []string // permanently blacklisted by failures, in order
 }
 
 // runSim executes the task graph in virtual time via greedy list scheduling
@@ -114,8 +112,6 @@ func (rt *Runtime) runSim() (*Report, error) {
 	// Dependency bookkeeping.
 	remaining := make(map[*Task]int, len(rt.tasks))
 	readyAt := make(map[*Task]sim.Time, len(rt.tasks))
-	attempts := make(map[*Task]int)
-	retried := make(map[*Task]bool)
 	var ready []*Task
 	for _, t := range rt.tasks {
 		remaining[t] = len(t.deps)
@@ -138,7 +134,7 @@ func (rt *Runtime) runSim() (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		end, fail, err := st.execute(t, u, readyAt[t], attempts[t])
+		end, fail, err := st.execute(t, u, readyAt[t], int(t.attempt.Load()))
 		if err != nil {
 			return nil, err
 		}
@@ -148,19 +144,16 @@ func (rt *Runtime) runSim() (*Report, error) {
 			// recovery), so the retry lands on a different unit — and when
 			// the whole PU class is gone, on a different implementation
 			// variant (GPU codelet → CPU variant) via compatibleUnits.
-			attempts[t]++
-			retried[t] = true
-			st.failedAttempts++
-			if attempts[t] >= st.policy.MaxAttempts {
-				return nil, fmt.Errorf("taskrt: task %q (%s) failed %d attempts, last on %s; giving up",
-					t.Codelet.Name, t.Label, attempts[t], fail.unit)
+			n, err := st.policy.countFailure(t, fail.unit, errInjected)
+			if err != nil {
+				return nil, err
 			}
-			retryAt := fail.at + sim.Time(st.policy.backoff(attempts[t]))
+			retryAt := fail.at + sim.Time(st.policy.backoff(n))
 			if st.tracer != nil {
 				st.tracer.Record(trace.Event{
 					Kind: trace.Retry, Unit: fail.unit, Label: taskLabel(t),
 					Start: float64(fail.at), End: float64(retryAt),
-					TaskID: t.id, Attempt: attempts[t], Worker: fail.unitIdx,
+					TaskID: t.id, Attempt: n, Worker: fail.unitIdx,
 				})
 			}
 			readyAt[t] = retryAt
@@ -190,10 +183,9 @@ func (rt *Runtime) runSim() (*Report, error) {
 		TransferBytes:   st.transferBytes,
 		TransferSeconds: st.transferSecs,
 		TransferCount:   st.transferCount,
-		FailedAttempts:  st.failedAttempts,
-		RetriedTasks:    len(retried),
 		WatchdogTrips:   st.watchdogTrips,
 	}
+	rep.FailedAttempts, rep.RetriedTasks = rt.failureCounts()
 	rep.Blacklisted = append(rep.Blacklisted, st.failedUnits...)
 	sort.Strings(rep.Blacklisted)
 	for _, su := range st.units {
@@ -432,7 +424,7 @@ func (st *simState) checkFault(t *Task, su *simUnit, start, dur sim.Time, attemp
 			return nil, err
 		}
 	}
-	return &simFailure{at: detect, unit: su.hw.ID, unitIdx: su.idx, watchdog: f.Hang}, nil
+	return &simFailure{at: detect, unit: su.hw.ID, unitIdx: su.idx}, nil
 }
 
 // invalidateNode drops every valid copy held by a failed device's memory.

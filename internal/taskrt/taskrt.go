@@ -136,11 +136,12 @@ type Config struct {
 	// codelet errors are retried instead of aborting the run.
 	Retry RetryPolicy
 	// Tracker, when non-nil, mirrors in-flight blacklisting into the dynamic
-	// platform descriptor: unit failures emit SetOffline, recoveries emit
-	// SetOnline, and units the tracker already reports offline are skipped
-	// by the schedulers from the start. Engine unit ids that the tracker
-	// does not know (expanded instances like "host.3", real-mode worker
-	// ids) are blacklisted locally only.
+	// platform descriptor: unit failures emit SetOffline and recoveries emit
+	// SetOnline. In Sim mode, units the tracker already reports offline are
+	// also skipped by the schedulers from the start; the Real engine never
+	// reads OfflineUnits. Engine unit ids that the tracker does not know
+	// (expanded instances like "host.3", real-mode worker ids) are
+	// blacklisted locally only.
 	Tracker *dynamic.Tracker
 }
 
