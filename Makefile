@@ -45,12 +45,13 @@ crash-test:
 cluster-test:
 	PDL_CLUSTER_SMOKE=1 PDL_SMOKE_ARTIFACTS=$(SMOKE_ARTIFACTS) $(GO) test -run TestClusterSmoke -v -timeout 300s ./internal/cluster/smoke
 
-# fuzz runs a time-boxed exploration of the journal record decoder and the
-# PDL unit parsers on top of the committed seed corpora (which plain
-# `go test` already replays).
+# fuzz runs a time-boxed exploration of the journal record decoder, the
+# PDL unit parsers and the worker's execute-request decoder on top of the
+# committed seed corpora (which plain `go test` already replays).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/registry
 	$(GO) test -run='^$$' -fuzz=FuzzParseUnits -fuzztime=10s ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzWorkerExecute -fuzztime=10s ./internal/cluster
 
 # factor-smoke is the Ext-K regression gate at smoke size: both tiled
 # factorizations on both pools, every run numerically verified against the

@@ -844,6 +844,190 @@ func TestClusterSuspectDeclaredNodeRejoins(t *testing.T) {
 	if rep.PerNode[0].Dead {
 		t.Fatal("healthy node still blacklisted at end of run")
 	}
+	if rep.FailedAttempts != 0 {
+		t.Fatalf("transport errors consumed %d attempts, want 0", rep.FailedAttempts)
+	}
+}
+
+// A codelet that always fails exhausts MaxAttempts (default 5), and the run
+// ends with the give-up error naming the last node and the kernel's error.
+func TestClusterGivesUpAfterMaxAttempts(t *testing.T) {
+	cl, err := taskrt.NewCodelet("broken",
+		taskrt.Impl{Arch: "x86", Func: func(*taskrt.TaskContext) error { return fmt.Errorf("kernel always fails") }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, srv := startWorker(t, "solo", cl, WorkerConfig{})
+	rt, err := taskrt.New(taskrt.Config{Platform: clusterPlatform(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := rt.NewHandle("C", 32, blas.NewMatrix(2, 2))
+	if err := rt.SubmitBatch([]*taskrt.Task{{Codelet: cl, Accesses: []taskrt.Access{taskrt.RW(h)}}}); err != nil {
+		t.Fatal(err)
+	}
+	m := fastMaster(t, []NodeConfig{{Name: "solo", Addr: srv.URL}}, nil)
+	_, err = m.Run(rt)
+	if err == nil {
+		t.Fatal("a task that always fails must end the run")
+	}
+	for _, want := range []string{"failed 5 attempts, last on solo", "kernel always fails"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("run error %q does not contain %q", err, want)
+		}
+	}
+}
+
+// The retry of a failed execution runs as attempt 1: the worker stamps the
+// request's attempt into its spans, so the merged trace shows the failed
+// try at attempt 0 and the successful one at attempt 1.
+func TestClusterRetrySpanCarriesAttempt(t *testing.T) {
+	var failed atomic.Bool
+	cl, err := taskrt.NewCodelet("once",
+		taskrt.Impl{Arch: "x86", Func: func(*taskrt.TaskContext) error {
+			if failed.CompareAndSwap(false, true) {
+				return fmt.Errorf("first try fails")
+			}
+			return nil
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, srv := startWorker(t, "solo", cl, WorkerConfig{})
+	rt, err := taskrt.New(taskrt.Config{Platform: clusterPlatform(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := rt.NewHandle("C", 32, blas.NewMatrix(2, 2))
+	task := &taskrt.Task{Codelet: cl, Accesses: []taskrt.Access{taskrt.RW(h)}, Label: "once"}
+	if err := rt.SubmitBatch([]*taskrt.Task{task}); err != nil {
+		t.Fatal(err)
+	}
+	m := fastMaster(t, []NodeConfig{{Name: "solo", Addr: srv.URL}}, func(cfg *Config) { cfg.Trace = trace.New() })
+	rep, err := m.Run(rt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.FailedAttempts != 1 || rep.RetriedTasks != 1 {
+		t.Fatalf("failures=%d retried=%d, want 1/1", rep.FailedAttempts, rep.RetriedTasks)
+	}
+	attempts := map[trace.Kind][]int{}
+	for _, e := range rep.Trace.Events() {
+		if e.Node == "solo" && e.TaskID == task.ID() && (e.Kind == trace.Task || e.Kind == trace.Failure) {
+			attempts[e.Kind] = append(attempts[e.Kind], e.Attempt)
+		}
+	}
+	if got := attempts[trace.Failure]; len(got) != 1 || got[0] != 0 {
+		t.Fatalf("failed worker spans carry attempts %v, want [0]", got)
+	}
+	if got := attempts[trace.Task]; len(got) != 1 || got[0] != 1 {
+		t.Fatalf("successful worker spans carry attempts %v, want [1]", got)
+	}
+}
+
+// The loop alone decides liveness from the heartbeat's probe outcomes: a
+// good probe brings a node up, HeartbeatMisses consecutive failures take a
+// live node down, failures while down count nothing, and rejoining clears
+// the node's residency beliefs.
+func TestProbeDrivesLiveness(t *testing.T) {
+	const misses = 3
+	m, err := NewMaster(Config{Nodes: []NodeConfig{{Name: "probed", Addr: "http://unused"}}, HeartbeatMisses: misses})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := &nodeState{cfg: m.cfg.Nodes[0], has: map[int]uint64{}}
+	st := &runState{m: m, nodes: []*nodeState{n}, inflight: map[int]*inflightRec{}}
+	counted := cm.hbMisses.With(n.cfg.Name)
+	before := counted.Value()
+	down := fmt.Errorf("probe failed")
+	info := InfoResponse{Name: "probed", Archs: []string{"x86"}, Workers: 2}
+
+	st.probe(n, info, nil)
+	if !n.alive || n.credits != 4 {
+		t.Fatalf("after a good probe: alive=%v credits=%d, want up with 4 credits", n.alive, n.credits)
+	}
+	n.has[7] = 1
+	for i := 1; i < misses; i++ {
+		st.probe(n, InfoResponse{}, down)
+	}
+	if !n.alive || n.misses != misses-1 {
+		t.Fatalf("after %d misses: alive=%v misses=%d, want still up", misses-1, n.alive, n.misses)
+	}
+	st.probe(n, InfoResponse{}, down)
+	if n.alive || n.misses != 0 || n.credits != 0 {
+		t.Fatalf("after %d misses: alive=%v misses=%d credits=%d, want down with counts reset", misses, n.alive, n.misses, n.credits)
+	}
+	for i := 0; i < 2*misses; i++ {
+		st.probe(n, InfoResponse{}, down)
+	}
+	if n.alive || n.misses != 0 {
+		t.Fatalf("failed probes of a down node: alive=%v misses=%d, want down and uncounted", n.alive, n.misses)
+	}
+	if got := counted.Value() - before; got != misses {
+		t.Fatalf("heartbeat miss counter rose by %g, want %d (misses while down are not counted)", got, misses)
+	}
+	st.probe(n, info, nil)
+	if !n.alive || n.credits != 4 || len(n.has) != 0 {
+		t.Fatalf("after rejoin: alive=%v credits=%d residency=%v, want up, full credit, no residency", n.alive, n.credits, n.has)
+	}
+}
+
+// Dispatch charges a node exec + transfer; the result must release the
+// whole charge, so a finished task leaves nothing in the node's backlog.
+func TestDispatchReleasesWholeCharge(t *testing.T) {
+	noop, err := taskrt.NewCodelet("noop",
+		taskrt.Impl{Arch: "x86", Func: func(*taskrt.TaskContext) error { return nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, srv := startWorker(t, "lan", noop, WorkerConfig{})
+	m, err := NewMaster(Config{Nodes: []NodeConfig{{Name: "lan", Addr: srv.URL}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := taskrt.New(taskrt.Config{Platform: clusterPlatform(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := rt.NewHandle("C", 1<<20, blas.NewMatrix(2, 2))
+	if err := rt.SubmitBatch([]*taskrt.Task{{Codelet: noop, Accesses: []taskrt.Access{taskrt.RW(h)}}}); err != nil {
+		t.Fatal(err)
+	}
+	tasks, handles, err := rt.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := &nodeState{cfg: m.cfg.Nodes[0], alive: true, credits: 1, has: map[int]uint64{}}
+	n.latNanos, n.nanosPerByte = m.routeCost("")
+	st := &runState{
+		m: m, tasks: tasks, handles: handles,
+		ver:   make([]uint64, len(handles)),
+		indeg: map[int]int{},
+		done:  map[int]bool{}, inflight: map[int]*inflightRec{},
+		events: make(chan event, 4), stop: make(chan struct{}),
+		start: time.Now(),
+		nodes: []*nodeState{n},
+	}
+	defer close(st.stop)
+
+	c, node, ok := st.choose(tasks[0])
+	if !ok || node != n || c.Transfer <= 0 {
+		t.Fatalf("placement = %+v on %v, want node lan with the operand priced to inline", c, node)
+	}
+	st.dispatch(tasks[0], c, node)
+	if n.backlog != c.Exec+c.Transfer {
+		t.Fatalf("dispatch charged %g ns, want exec %g + transfer %g", n.backlog, c.Exec, c.Transfer)
+	}
+	ev := <-st.events
+	if ev.err != nil || ev.resp == nil || !ev.resp.OK {
+		t.Fatalf("execute round-trip: err=%v resp=%+v", ev.err, ev.resp)
+	}
+	if done, err := st.handleResult(ev); !done || err != nil {
+		t.Fatalf("applying the success: done=%v err=%v", done, err)
+	}
+	if n.backlog != 0 || n.credits != 1 {
+		t.Fatalf("after the task finished: backlog=%g ns credits=%d, want 0 and 1", n.backlog, n.credits)
+	}
 }
 
 func TestHandleResultInBandOutcomesClearSuspects(t *testing.T) {
@@ -877,10 +1061,10 @@ func TestHandleResultInBandOutcomesClearSuspects(t *testing.T) {
 	st := &runState{
 		m: m, tasks: tasks, handles: handles,
 		ver:   make([]uint64, len(handles)),
-		indeg: map[int]int{}, attempts: map[int]int{},
-		done: map[int]bool{}, inflight: map[int]*inflightRec{},
+		indeg: map[int]int{},
+		done:  map[int]bool{}, inflight: map[int]*inflightRec{},
 		events: make(chan event, 4), stop: make(chan struct{}),
-		start: time.Now(), retriedTasks: map[int]bool{},
+		start: time.Now(),
 		nodes: []*nodeState{n},
 	}
 	defer close(st.stop)
@@ -1120,13 +1304,13 @@ func TestChooseColdNodesSpreadAndBidPoolMean(t *testing.T) {
 
 	// No history anywhere: equal zero bids, so consecutive decisions
 	// alternate nodes rather than both landing on the first.
-	p1, ok1 := st.choose(task)
-	p2, ok2 := st.choose(task)
-	if !ok1 || !ok2 || p1.node == p2.node {
-		t.Fatalf("cold placements %v, %v landed on the same node", p1.node.cfg.Name, p2.node.cfg.Name)
+	c1, n1, ok1 := st.choose(task)
+	_, n2, ok2 := st.choose(task)
+	if !ok1 || !ok2 || n1 == n2 {
+		t.Fatalf("cold placements %v, %v landed on the same node", n1.cfg.Name, n2.cfg.Name)
 	}
-	if p1.reason != taskrt.PlaceCold || p1.est != 0 {
-		t.Fatalf("cold pool placement = %q %g ns, want cold 0", p1.reason, p1.est)
+	if c1.Source != taskrt.PlaceCold || c1.Exec != 0 {
+		t.Fatalf("cold pool placement = %q %g ns, want cold 0", c1.Source, c1.Exec)
 	}
 
 	// Node a has history (5 ms mean) and a 10 ms backlog; cold node b bids
@@ -1134,9 +1318,9 @@ func TestChooseColdNodesSpreadAndBidPoolMean(t *testing.T) {
 	a, b := st.nodes[0], st.nodes[1]
 	a.obsCount, a.obsMean, a.backlog = 1, 5e6, 10e6
 	for i := 0; i < 2; i++ {
-		p, ok := st.choose(task)
-		if !ok || p.node != b || p.reason != taskrt.PlaceCold || p.est != 5e6 {
-			t.Fatalf("placement %d = %s %q %g ns, want b cold 5e6", i, p.node.cfg.Name, p.reason, p.est)
+		c, n, ok := st.choose(task)
+		if !ok || n != b || c.Source != taskrt.PlaceCold || c.Exec != 5e6 {
+			t.Fatalf("placement %d = %s %q %g ns, want b cold 5e6", i, n.cfg.Name, c.Source, c.Exec)
 		}
 	}
 }

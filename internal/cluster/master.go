@@ -3,11 +3,11 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/client"
@@ -218,21 +218,14 @@ const (
 	lanLatencyNS = 200e3
 )
 
-// nodeState is the master's view of one node during a run. All fields are
-// owned by the run loop goroutine except the control client and forcedDown.
+// nodeState is the master's view of one node during a run. All fields
+// except the control client are owned by the run loop goroutine.
 type nodeState struct {
 	cfg NodeConfig
 	ctl *client.Client
 
-	// forcedDown tells the heartbeat goroutine the loop declared the node
-	// dead on its own evidence (consecutive transport suspects) while the
-	// control plane still answered. The heartbeat swaps it off and reverts
-	// to /v1/info probing so a healthy node re-announces itself; without
-	// the handoff the two alive states diverge and the node could never
-	// rejoin.
-	forcedDown atomic.Bool
-
 	alive    bool
+	misses   int // consecutive failed heartbeat probes while alive
 	info     InfoResponse
 	maxCred  int
 	credits  int
@@ -262,8 +255,7 @@ type eventKind int
 const (
 	evResult eventKind = iota
 	evRequeue
-	evNodeUp
-	evNodeDown
+	evProbe
 	evAllDead
 )
 
@@ -277,14 +269,15 @@ type event struct {
 	info InfoResponse
 }
 
+// inflightRec is one dispatched invocation. It holds its node's credit and
+// backlog charge while it is the task's entry in runState.inflight.
 type inflightRec struct {
 	task     *taskrt.Task
 	node     *nodeState
 	specs    []AccessSpec
-	est      float64 // charged estimate (slowdown-penalised), nanoseconds
+	charge   float64 // backlog charged at dispatch: penalised exec + transfer, nanoseconds
 	modelEst float64 // unscaled perfmodel estimate, nanoseconds (0 unless reason "model")
-	released bool    // credit/backlog already returned (node died)
-	shipped  int64   // encoded bytes inlined (set by the dispatch goroutine)
+	shipped  int64   // encoded bytes inlined (set by the ship goroutine)
 	inlines  int
 }
 
@@ -297,7 +290,6 @@ type runState struct {
 
 	ver      []uint64 // current version per handle id
 	indeg    map[int]int
-	attempts map[int]int
 	done     map[int]bool
 	inflight map[int]*inflightRec
 	ready    []*taskrt.Task
@@ -307,9 +299,7 @@ type runState struct {
 	stop   chan struct{}
 	start  time.Time
 
-	failedAttempts int
-	retriedTasks   map[int]bool
-	resubmissions  int
+	resubmissions int
 
 	// Worker-side kernel spans, keyed by (node, process epoch) so a
 	// restarted worker gets a fresh, correctly-aligned input trace instead
@@ -351,18 +341,16 @@ func (m *Master) Run(rt *taskrt.Runtime) (*Report, error) {
 		return &Report{}, nil
 	}
 	st := &runState{
-		m:            m,
-		tasks:        tasks,
-		handles:      handles,
-		ver:          make([]uint64, len(handles)),
-		indeg:        make(map[int]int, len(tasks)),
-		attempts:     map[int]int{},
-		done:         make(map[int]bool, len(tasks)),
-		inflight:     map[int]*inflightRec{},
-		events:       make(chan event, 64),
-		stop:         make(chan struct{}),
-		start:        time.Now(),
-		retriedTasks: map[int]bool{},
+		m:        m,
+		tasks:    tasks,
+		handles:  handles,
+		ver:      make([]uint64, len(handles)),
+		indeg:    make(map[int]int, len(tasks)),
+		done:     make(map[int]bool, len(tasks)),
+		inflight: map[int]*inflightRec{},
+		events:   make(chan event, 64),
+		stop:     make(chan struct{}),
+		start:    time.Now(),
 	}
 	defer close(st.stop)
 
@@ -419,10 +407,8 @@ func (m *Master) Run(rt *taskrt.Runtime) (*Report, error) {
 
 		ev := <-st.events
 		switch ev.kind {
-		case evNodeUp:
-			st.nodeUp(ev.node, ev.info)
-		case evNodeDown:
-			st.nodeDown(ev.node)
+		case evProbe:
+			st.probe(ev.node, ev.info, ev.err)
 		case evRequeue:
 			st.ready = append(st.ready, ev.task)
 		case evAllDead:
@@ -449,10 +435,9 @@ func (m *Master) Run(rt *taskrt.Runtime) (*Report, error) {
 	rep := &Report{
 		Tasks:           len(tasks),
 		MakespanSeconds: time.Since(st.start).Seconds(),
-		FailedAttempts:  st.failedAttempts,
-		RetriedTasks:    len(st.retriedTasks),
 		Resubmissions:   st.resubmissions,
 	}
+	rep.FailedAttempts, rep.RetriedTasks = taskrt.FailureCounts(tasks)
 	for _, n := range st.nodes {
 		n.stats.Dead = !n.alive
 		if n.stats.Dead {
@@ -540,42 +525,43 @@ func (st *runState) aliveCount() int {
 	return n
 }
 
-// heartbeat probes the node until the run ends: /v1/info while down (the
-// probe doubles as capability discovery on first contact and after
-// restarts), /healthz while up.
+// heartbeat probes the node's /v1/info every HeartbeatEvery until the run
+// ends and hands each outcome to the loop, which alone decides liveness
+// (probe). The same probe learns the node's capabilities on first contact
+// and after restarts.
 func (st *runState) heartbeat(n *nodeState) {
 	cfg := st.m.cfg
-	alive := false
-	misses := 0
 	for {
-		if n.forcedDown.Swap(false) {
-			// The loop blacklisted the node while /healthz still answered;
-			// fall back to /v1/info probing so it can be re-announced.
-			alive, misses = false, 0
-		}
 		ctx, cancel := context.WithTimeout(context.Background(), cfg.HeartbeatTimeout)
-		if !alive {
-			var info InfoResponse
-			if err := n.ctl.GetJSON(ctx, PathInfo, &info); err == nil {
-				alive, misses = true, 0
-				st.send(event{kind: evNodeUp, node: n, info: info})
-			}
-		} else if err := n.ctl.GetJSON(ctx, PathHealthz, nil); err != nil {
-			misses++
-			cm.hbMisses.With(n.cfg.Name).Inc()
-			if misses >= cfg.HeartbeatMisses {
-				alive = false
-				st.send(event{kind: evNodeDown, node: n})
-			}
-		} else {
-			misses = 0
-		}
+		var info InfoResponse
+		err := n.ctl.GetJSON(ctx, PathInfo, &info)
 		cancel()
+		st.send(event{kind: evProbe, node: n, info: info, err: err})
 		select {
 		case <-st.stop:
 			return
 		case <-time.After(cfg.HeartbeatEvery):
 		}
+	}
+}
+
+// probe applies one heartbeat outcome. A good probe brings a down node up
+// (nodeUp does nothing for a live one); HeartbeatMisses consecutive failed
+// probes of a live node declare it dead. A down node's failed probes count
+// nothing.
+func (st *runState) probe(n *nodeState, info InfoResponse, err error) {
+	if err == nil {
+		n.misses = 0
+		st.nodeUp(n, info)
+		return
+	}
+	if !n.alive {
+		return
+	}
+	n.misses++
+	cm.hbMisses.With(n.cfg.Name).Inc()
+	if n.misses >= st.m.cfg.HeartbeatMisses {
+		st.nodeDown(n)
 	}
 }
 
@@ -610,39 +596,56 @@ func (st *runState) nodeDown(n *nodeState) {
 	if !n.alive {
 		return
 	}
-	n.alive = false
-	n.forcedDown.Store(true)
+	n.alive, n.misses = false, 0
 	cm.nodeUp.With(n.cfg.Name).Set(0)
-	// A dead node must not linger in scrapes as a ghost: its inflight gauge
-	// goes to zero here (each resubmitted rec below also decrements, but a
-	// defensive set keeps the invariant even if accounting ever drifts) and
-	// its slowdown series is deleted outright — a score with no live node
-	// behind it is noise, and a rejoining process starts fresh.
+	// A dead node must not linger in scrapes as a ghost: releasing its recs
+	// below takes its inflight gauge to zero, and its slowdown series is
+	// deleted outright — a score with no live node behind it is noise, and
+	// a rejoining process starts fresh.
 	cm.slowdown.Delete(n.cfg.Name)
 	n.slowEWMA, n.slowSamples = 0, 0
 	st.m.logf("cluster: node %s dead; resubmitting its in-flight tasks", n.cfg.Name)
 	st.traceInstant(trace.Blacklist, n.cfg.Name, "", trace.NoTask)
-	for id, rec := range st.inflight {
-		if rec.node != n || rec.released {
-			continue
+	for _, rec := range st.inflight {
+		if rec.node == n {
+			st.release(rec)
+			st.resubmit(n, rec.task)
 		}
-		rec.released = true
-		cm.inflight.With(n.cfg.Name).Dec()
-		delete(st.inflight, id)
-		n.stats.Resubmits++
-		st.resubmissions++
-		cm.resubmits.With(n.cfg.Name).Inc()
-		st.requeueWithBackoff(rec.task)
 	}
-	cm.inflight.With(n.cfg.Name).Set(0)
 	n.credits, n.backlog = 0, 0
+}
+
+// release returns rec's credit, backlog charge and inflight gauge to its
+// node, once: only the task's current in-flight record holds them, so a rec
+// already released by nodeDown, or superseded by a resubmitted copy,
+// returns nothing.
+func (st *runState) release(rec *inflightRec) {
+	id := rec.task.ID()
+	if st.inflight[id] != rec {
+		return
+	}
+	delete(st.inflight, id)
+	n := rec.node
+	n.credits++
+	n.backlog -= rec.charge
+	if n.backlog < 0 {
+		n.backlog = 0
+	}
+	cm.inflight.With(n.cfg.Name).Dec()
+}
+
+// resubmit requeues a task taken back from dead node n, counted against n.
+func (st *runState) resubmit(n *nodeState, t *taskrt.Task) {
+	n.stats.Resubmits++
+	st.resubmissions++
+	cm.resubmits.With(n.cfg.Name).Inc()
+	st.requeueWithBackoff(t)
 }
 
 // requeueWithBackoff schedules the task back into ready after the retry
 // delay for its in-band attempt count.
 func (st *runState) requeueWithBackoff(t *taskrt.Task) {
-	task := t
-	time.AfterFunc(st.m.retryDelay(st.attempts[t.ID()]), func() { st.send(event{kind: evRequeue, task: task}) })
+	time.AfterFunc(st.m.retryDelay(t.Attempt()), func() { st.send(event{kind: evRequeue, task: t}) })
 }
 
 // retryDelay is taskrt.Backoff over BackoffBase/BackoffCap: the first retry
@@ -718,24 +721,13 @@ func (st *runState) transferNanos(t *taskrt.Task, n *nodeState) float64 {
 	return total
 }
 
-// placement is one EFT decision: the chosen node, the charged (penalised)
-// estimate, the transfer term, the prediction source, and — when the source
-// was the perfmodel — the unscaled estimate the straggler detector compares
-// observations against.
-type placement struct {
-	node     *nodeState
-	est      float64 // charged, nanoseconds (model estimate × node penalty)
-	xfer     float64 // nanoseconds
-	reason   string  // "model", "fallback", "cold"
-	modelEst float64 // unscaled model estimate, 0 unless reason == "model"
-}
-
 // choose places the task through taskrt.ChooseEFT among alive nodes with
 // free credit that can run the codelet, rotating the scan start across
 // decisions. Each node's execution estimate is scaled by its slowdown
 // penalty (EWMA of observed/estimated latency, floored at 1), so detected
 // stragglers bid with their real speed rather than the model's optimism.
-func (st *runState) choose(t *taskrt.Task) (placement, bool) {
+// It returns the decision and the chosen node.
+func (st *runState) choose(t *taskrt.Task) (taskrt.Choice, *nodeState, bool) {
 	start := st.rr % len(st.nodes)
 	st.rr++
 	c, ok := taskrt.ChooseEFT(len(st.nodes), start, t.Priority, st.poolMean(), func(i int) (taskrt.Bid, bool) {
@@ -749,13 +741,9 @@ func (st *runState) choose(t *taskrt.Task) (placement, bool) {
 		return b, true
 	})
 	if !ok {
-		return placement{}, false
+		return c, nil, false
 	}
-	p := placement{node: st.nodes[c.Index], est: c.Exec, xfer: c.Transfer, reason: c.Source}
-	if c.Source == taskrt.PlaceModel {
-		p.modelEst = c.Estimate
-	}
-	return p, true
+	return c, st.nodes[c.Index], true
 }
 
 // dispatchReady places as many ready tasks as node credits allow.
@@ -767,7 +755,7 @@ func (st *runState) dispatchReady() {
 		if st.done[t.ID()] || st.inflight[t.ID()] != nil {
 			continue // resubmitted and already handled
 		}
-		p, ok := st.choose(t)
+		c, n, ok := st.choose(t)
 		if !ok {
 			defer2 = append(defer2, t)
 			if st.aliveCount() == 0 {
@@ -775,14 +763,14 @@ func (st *runState) dispatchReady() {
 			}
 			continue
 		}
-		st.dispatch(t, p)
+		st.dispatch(t, c, n)
 	}
 	st.ready = append(defer2, st.ready...)
 }
 
-// dispatch charges the node and ships the invocation asynchronously.
-func (st *runState) dispatch(t *taskrt.Task, p placement) {
-	n := p.node
+// dispatch charges node n with placement decision c and ships the
+// invocation asynchronously.
+func (st *runState) dispatch(t *taskrt.Task, c taskrt.Choice, n *nodeState) {
 	specs := make([]AccessSpec, len(t.Accesses))
 	inline := make([]bool, len(t.Accesses))
 	for i, a := range t.Accesses {
@@ -796,13 +784,16 @@ func (st *runState) dispatch(t *taskrt.Task, p placement) {
 		}
 		inline[i] = !n.hasVersion(id, st.ver[id])
 	}
-	rec := &inflightRec{task: t, node: n, specs: specs, est: p.est, modelEst: p.modelEst}
+	rec := &inflightRec{task: t, node: n, specs: specs, charge: c.Exec + c.Transfer}
+	if c.Source == taskrt.PlaceModel {
+		rec.modelEst = c.Estimate
+	}
 	st.inflight[t.ID()] = rec
 	n.credits--
-	n.backlog += p.est + p.xfer
+	n.backlog += rec.charge
 	cm.inflight.With(n.cfg.Name).Inc()
-	cm.decisions.With(p.reason).Inc()
-	st.traceDispatch(t, n, p.reason, p.xfer)
+	cm.decisions.With(c.Source).Inc()
+	st.traceDispatch(t, n, c.Source, c.Transfer)
 
 	var parents []int
 	for _, d := range t.Deps() {
@@ -810,7 +801,7 @@ func (st *runState) dispatch(t *taskrt.Task, p placement) {
 	}
 	req := &ExecRequest{
 		TaskID:  t.ID(),
-		Attempt: st.attempts[t.ID()],
+		Attempt: t.Attempt(),
 		Codelet: t.Codelet.Name,
 		Label:   t.Label,
 		Flops:   t.Flops,
@@ -820,14 +811,17 @@ func (st *runState) dispatch(t *taskrt.Task, p placement) {
 	for i, a := range t.Accesses {
 		payloads[i] = a.Handle.Payload
 	}
-	go st.ship(rec, req, payloads, inline)
+	go func() {
+		resp, err := st.ship(rec, req, payloads, inline)
+		st.send(event{kind: evResult, rec: rec, resp: resp, err: err})
+	}()
 }
 
 // ship encodes inline payloads and performs the execute round-trip. Runs
 // outside the loop goroutine; it only touches payloads of the task's own
 // accesses, whose writers have all been applied (DAG order), so the reads
 // race with nothing.
-func (st *runState) ship(rec *inflightRec, req *ExecRequest, payloads []any, inline []bool) {
+func (st *runState) ship(rec *inflightRec, req *ExecRequest, payloads []any, inline []bool) (*ExecResponse, error) {
 	req.Accesses = append([]AccessSpec(nil), rec.specs...)
 	for i := range req.Accesses {
 		if !inline[i] {
@@ -835,8 +829,7 @@ func (st *runState) ship(rec *inflightRec, req *ExecRequest, payloads []any, inl
 		}
 		data, err := EncodePayload(payloads[i])
 		if err != nil {
-			st.send(event{kind: evResult, rec: rec, err: fmt.Errorf("encoding handle %d: %w", req.Accesses[i].HandleID, err)})
-			return
+			return nil, fmt.Errorf("encoding handle %d: %w", req.Accesses[i].HandleID, err)
 		}
 		req.Accesses[i].Inline = data
 		rec.shipped += int64(len(data))
@@ -844,39 +837,32 @@ func (st *runState) ship(rec *inflightRec, req *ExecRequest, payloads []any, inl
 	}
 	body, err := encodeGob(req)
 	if err != nil {
-		st.send(event{kind: evResult, rec: rec, err: err})
-		return
+		return nil, err
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), st.m.cfg.ExecTimeout)
 	defer cancel()
 	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, rec.node.cfg.Addr+PathExecute, bytes.NewReader(body))
 	if err != nil {
-		st.send(event{kind: evResult, rec: rec, err: err})
-		return
+		return nil, err
 	}
 	httpReq.Header.Set("Content-Type", ContentTypeGob)
 	httpResp, err := st.m.http.Do(httpReq)
 	if err != nil {
-		st.send(event{kind: evResult, rec: rec, err: err})
-		return
+		return nil, err
 	}
 	defer httpResp.Body.Close()
 	data, err := io.ReadAll(httpResp.Body)
 	if err != nil {
-		st.send(event{kind: evResult, rec: rec, err: err})
-		return
+		return nil, err
 	}
 	if httpResp.StatusCode != http.StatusOK {
-		st.send(event{kind: evResult, rec: rec,
-			err: fmt.Errorf("execute returned %d: %s", httpResp.StatusCode, bytes.TrimSpace(data))})
-		return
+		return nil, fmt.Errorf("execute returned %d: %s", httpResp.StatusCode, bytes.TrimSpace(data))
 	}
 	var resp ExecResponse
 	if err := decodeGob(data, &resp); err != nil {
-		st.send(event{kind: evResult, rec: rec, err: err})
-		return
+		return nil, err
 	}
-	st.send(event{kind: evResult, rec: rec, resp: &resp})
+	return &resp, nil
 }
 
 // handleResult applies one round-trip outcome. Returns whether a task
@@ -885,16 +871,7 @@ func (st *runState) ship(rec *inflightRec, req *ExecRequest, payloads []any, inl
 // resubmission) are dropped before any state changes.
 func (st *runState) handleResult(ev event) (bool, error) {
 	rec, n, t := ev.rec, ev.rec.node, ev.rec.task
-	if !rec.released {
-		rec.released = true
-		n.credits++
-		n.backlog -= rec.est
-		if n.backlog < 0 {
-			n.backlog = 0
-		}
-		cm.inflight.With(n.cfg.Name).Dec()
-		delete(st.inflight, t.ID())
-	}
+	st.release(rec)
 	// Ingest piggybacked worker spans before the exactly-once drop: even a
 	// duplicate attempt really executed, and the merged timeline should show
 	// it (that is how duplicated work becomes visible).
@@ -921,14 +898,13 @@ func (st *runState) handleResult(ev event) (bool, error) {
 		n.suspects++
 		st.m.logf("cluster: node %s transport error (task %d): %v", n.cfg.Name, t.ID(), ev.err)
 		if n.suspects >= 2 && n.alive {
+			// nodeDown resubmits what is still in flight; this rec was
+			// released above, so it is resubmitted here.
 			st.nodeDown(n)
-			// nodeDown resubmits in-flight tasks, but this rec was already
-			// released above — requeue it explicitly.
-			n.stats.Resubmits++
-			st.resubmissions++
-			cm.resubmits.With(n.cfg.Name).Inc()
+			st.resubmit(n, t)
+		} else {
+			st.requeueWithBackoff(t)
 		}
-		st.requeueWithBackoff(t)
 		return false, nil
 
 	case len(ev.resp.NeedData) > 0:
@@ -957,17 +933,14 @@ func (st *runState) handleResult(ev event) (bool, error) {
 			}
 		}
 		n.suspects = 0
-		st.failedAttempts++
 		n.stats.Retries++
-		st.retriedTasks[t.ID()] = true
 		cm.retries.With(n.cfg.Name).Inc()
-		st.attempts[t.ID()]++
+		attempt, err := taskrt.RetryPolicy{MaxAttempts: st.m.cfg.MaxAttempts}.CountFailure(t, n.cfg.Name, errors.New(ev.resp.Error))
 		st.traceInstant(trace.Retry, n.cfg.Name, t.Label, t.ID())
-		if st.attempts[t.ID()] >= st.m.cfg.MaxAttempts {
-			return false, fmt.Errorf("cluster: task %d (%s) failed %d attempts, last on %s: %s",
-				t.ID(), t.Label, st.attempts[t.ID()], n.cfg.Name, ev.resp.Error)
+		if err != nil {
+			return false, err
 		}
-		st.m.logf("cluster: task %d failed on %s (attempt %d): %s", t.ID(), n.cfg.Name, st.attempts[t.ID()], ev.resp.Error)
+		st.m.logf("cluster: task %d failed on %s (attempt %d): %s", t.ID(), n.cfg.Name, attempt, ev.resp.Error)
 		st.requeueWithBackoff(t)
 		return false, nil
 	}

@@ -149,13 +149,27 @@ func EncodePayload(v any) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DecodePayload reverses EncodePayload.
+// DecodePayload reverses EncodePayload. The bytes come off the network, so
+// a matrix must arrive in the dense form EncodePayload sends (Stride == Cols,
+// Rows×Cols elements): Clone, ApplyPayload and the kernels index rows
+// without bounds checks of their own.
 func DecodePayload(data []byte) (any, error) {
 	var box payloadBox
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&box); err != nil {
 		return nil, fmt.Errorf("cluster: decoding payload: %w", err)
 	}
+	if m, ok := box.V.(*blas.Matrix); ok && !dense(m) {
+		return nil, fmt.Errorf("cluster: decoding payload: %dx%d matrix with stride %d and %d elements is not dense",
+			m.Rows, m.Cols, m.Stride, len(m.Data))
+	}
 	return box.V, nil
+}
+
+// dense reports whether m holds exactly Rows×Cols elements at Stride ==
+// Cols, forming the product only once it cannot overflow.
+func dense(m *blas.Matrix) bool {
+	return m.Rows >= 0 && m.Cols >= 0 && m.Stride == m.Cols &&
+		(m.Cols == 0 || m.Rows <= len(m.Data)/m.Cols) && len(m.Data) == m.Rows*m.Cols
 }
 
 // ApplyPayload merges a received payload into an existing one, returning

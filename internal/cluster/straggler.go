@@ -90,7 +90,7 @@ func (st *runState) observeResidual(n *nodeState, t *taskrt.Task, rec *inflightR
 			ratio, rec.modelEst/1e6, obsSeconds*1e3, n.slowEWMA)
 		st.traceStraggler(n, t, reason)
 		st.m.logf("cluster: straggler: node=%s task=%d label=%q attempt=%d ratio=%.2f est_ms=%.3f obs_ms=%.3f score=%.2f",
-			n.cfg.Name, t.ID(), t.Label, st.attempts[t.ID()], ratio, rec.modelEst/1e6, obsSeconds*1e3, n.slowEWMA)
+			n.cfg.Name, t.ID(), t.Label, t.Attempt(), ratio, rec.modelEst/1e6, obsSeconds*1e3, n.slowEWMA)
 	}
 	if cfg.BlacklistScore > 0 && n.slowEWMA >= cfg.BlacklistScore && n.alive {
 		st.m.logf("cluster: node %s slowdown score %.2f >= %.2f; blacklisting",

@@ -190,8 +190,8 @@ type Task struct {
 	deps       []*Task
 	dependents []*Task
 	// attempt counts failed attempts so far, the engines' only count:
-	// countFailure increments it, the next executing worker loads it to
-	// stamp its trace spans, and failureCounts sums it into the Report.
+	// CountFailure increments it, the next execution reads it (Attempt) to
+	// stamp its trace spans, and FailureCounts sums it into the Report.
 	attempt atomic.Int32
 	// estNanos is the execution+transfer prediction the dmda dispatcher
 	// charged to a worker's backlog when it placed this task; released by

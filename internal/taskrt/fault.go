@@ -222,11 +222,12 @@ func (p RetryPolicy) backoffDuration(n int) time.Duration {
 	return time.Duration(p.backoff(n) * float64(time.Second))
 }
 
-// countFailure counts one failed attempt of t, last run on unit, and returns
-// the attempt number. Once t has failed MaxAttempts times it also returns the
-// error that ends the run, wrapping cause. Task.attempt is the only attempt
-// count: the caller owns t while it handles the failure.
-func (p RetryPolicy) countFailure(t *Task, unit string, cause error) (int, error) {
+// CountFailure counts one failed attempt of t, last run on unit, and
+// returns the attempt number. Once t has failed MaxAttempts times it also
+// returns the error that ends the run, wrapping cause. Task.attempt is the
+// only attempt count, shared by the sim and real engines and the cluster
+// master: the caller owns t while it handles the failure.
+func (p RetryPolicy) CountFailure(t *Task, unit string, cause error) (int, error) {
 	n := int(t.attempt.Add(1))
 	if n < p.MaxAttempts {
 		return n, nil
@@ -235,12 +236,16 @@ func (p RetryPolicy) countFailure(t *Task, unit string, cause error) (int, error
 		t.Codelet.Name, t.Label, n, unit, cause)
 }
 
-// failureCounts reports the run's failed attempts and the number of tasks
-// that failed at least once. Every failed attempt increments exactly one
-// task's count, so the sum is the run's total.
-func (rt *Runtime) failureCounts() (failedAttempts, retriedTasks int) {
-	for _, t := range rt.tasks {
-		if n := int(t.attempt.Load()); n > 0 {
+// Attempt is the number of failed attempts counted on t so far, which is
+// also the index of its next execution (0 = first).
+func (t *Task) Attempt() int { return int(t.attempt.Load()) }
+
+// FailureCounts reports the failed attempts over tasks and the number of
+// tasks that failed at least once. Every failed attempt increments exactly
+// one task's count, so the sum is the run's total.
+func FailureCounts(tasks []*Task) (failedAttempts, retriedTasks int) {
+	for _, t := range tasks {
+		if n := t.Attempt(); n > 0 {
 			failedAttempts += n
 			retriedTasks++
 		}

@@ -256,7 +256,7 @@ func (rt *Runtime) runReal() (*Report, error) {
 				TaskID: t.id, Label: taskLabel(t),
 				Start: now, End: now, From: reason,
 				Transfer: float64(xferNanos) / 1e9,
-				Attempt:  int(t.attempt.Load()),
+				Attempt:  t.Attempt(),
 			})
 		}
 	}
@@ -359,7 +359,7 @@ func (rt *Runtime) runReal() (*Report, error) {
 				if watchdog {
 					watchdogTrips++
 				}
-				n, err := policy.countFailure(t, unitID, cause)
+				n, err := policy.CountFailure(t, unitID, cause)
 				if err != nil {
 					fail(err)
 					mu.Unlock()
@@ -404,7 +404,7 @@ func (rt *Runtime) runReal() (*Report, error) {
 					}
 					return // aborted mid-sweep
 				}
-				attempt := int(t.attempt.Load())
+				attempt := t.Attempt()
 				if victim >= 0 {
 					now := time.Now()
 					rec(trace.Steal, t, attempt, now, now, workerUnitID(victim))
@@ -535,7 +535,7 @@ func (rt *Runtime) runReal() (*Report, error) {
 		MakespanSeconds: elapsed.Seconds(),
 		WatchdogTrips:   watchdogTrips,
 	}
-	rep.FailedAttempts, rep.RetriedTasks = rt.failureCounts()
+	rep.FailedAttempts, rep.RetriedTasks = FailureCounts(rt.tasks)
 	for id := range blacklisted {
 		rep.Blacklisted = append(rep.Blacklisted, id)
 	}

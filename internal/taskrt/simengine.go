@@ -134,7 +134,7 @@ func (rt *Runtime) runSim() (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		end, fail, err := st.execute(t, u, readyAt[t], int(t.attempt.Load()))
+		end, fail, err := st.execute(t, u, readyAt[t], t.Attempt())
 		if err != nil {
 			return nil, err
 		}
@@ -144,7 +144,7 @@ func (rt *Runtime) runSim() (*Report, error) {
 			// recovery), so the retry lands on a different unit — and when
 			// the whole PU class is gone, on a different implementation
 			// variant (GPU codelet → CPU variant) via compatibleUnits.
-			n, err := st.policy.countFailure(t, fail.unit, errInjected)
+			n, err := st.policy.CountFailure(t, fail.unit, errInjected)
 			if err != nil {
 				return nil, err
 			}
@@ -185,7 +185,7 @@ func (rt *Runtime) runSim() (*Report, error) {
 		TransferCount:   st.transferCount,
 		WatchdogTrips:   st.watchdogTrips,
 	}
-	rep.FailedAttempts, rep.RetriedTasks = rt.failureCounts()
+	rep.FailedAttempts, rep.RetriedTasks = FailureCounts(rt.tasks)
 	rep.Blacklisted = append(rep.Blacklisted, st.failedUnits...)
 	sort.Strings(rep.Blacklisted)
 	for _, su := range st.units {
